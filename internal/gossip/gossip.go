@@ -73,6 +73,11 @@ type Agent interface {
 	HandlePush(round, from int, p Payload)
 	// HandlePull answers a pull request; returning nil refuses to answer
 	// (the puller observes the same silence a faulty node would produce).
+	// It answers from the agent's state and must not change it: the
+	// message-passing runtime may answer a query the loss model then drops,
+	// and answers all of a round's queries before any reply lands, so an
+	// answer that depended on earlier queries would diverge from this
+	// engine's.
 	HandlePull(round, from int, query Payload) Payload
 	// HandlePullReply receives the answer to this agent's pull. reply is nil
 	// when the target was faulty, silent, or the pull was dropped.

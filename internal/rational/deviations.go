@@ -475,7 +475,10 @@ func (a *promoterAgent) HandlePush(round, from int, p gossip.Payload) {
 }
 
 // Equivocator gives different vote-intention declarations to different
-// pullers during Commitment while voting according to its first list. Two
+// pullers during Commitment while voting according to its first list: odd
+// pullers get an alternate list. The choice is a function of the puller, not
+// of how many queries came before, so HandlePull leaves the agent's state
+// untouched as the gossip.Agent contract requires. Two
 // verifiers holding conflicting declarations cannot both find the winner's W
 // consistent whenever one of the equivocator's targets wins, so equivocation
 // manufactures failures but no wins.
@@ -504,7 +507,6 @@ func (Equivocator) Build(ctx *BuildContext) []gossip.Agent {
 type equivocatorAgent struct {
 	*devCore
 	altIntents []core.Intent
-	flip       bool
 }
 
 func (a *equivocatorAgent) Act(round int) gossip.Action {
@@ -519,8 +521,7 @@ func (a *equivocatorAgent) Act(round int) gossip.Action {
 
 func (a *equivocatorAgent) HandlePull(round, from int, q gossip.Payload) gossip.Payload {
 	if a.P.PhaseOf(round) == core.PhaseCommitment {
-		a.flip = !a.flip
-		if a.flip {
+		if from%2 == 1 {
 			return core.Intentions{P: a.P, Votes: a.altIntents}
 		}
 		return core.Intentions{P: a.P, Votes: a.Agent.Intentions()}

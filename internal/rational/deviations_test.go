@@ -1,6 +1,7 @@
 package rational
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -96,6 +97,33 @@ func TestEquivocatorAlternatesDeclarations(t *testing.T) {
 	// it faulty — the lie only surfaces at verification.
 	if len(r1.Votes) != p.Q || len(r2.Votes) != p.Q {
 		t.Fatal("equivocator declaration malformed")
+	}
+}
+
+// TestDeviationsHandlePullIsStateless pins the gossip.Agent contract for
+// every deviation: answering a pull must not change the agent, so the same
+// query asked twice in a row gets the same answer in every phase. The
+// message-passing runtime answers queries the loss model then drops, and
+// answers all of a round's queries before any reply lands; an agent whose
+// answers drift with the number of queries would diverge from the simulator.
+func TestDeviationsHandlePullIsStateless(t *testing.T) {
+	const n, member = 16, 4
+	p := core.MustParams(n, 2, 1)
+	for _, dev := range AllDeviations() {
+		a := buildOne(t, dev, n, member)
+		for r := 0; r < p.TotalRounds(); r++ {
+			for _, from := range []int{1, 2} {
+				q := gossip.Payload(core.IntentQuery{P: p})
+				if p.PhaseOf(r) != core.PhaseCommitment {
+					q = core.CertQuery{P: p}
+				}
+				first := a.HandlePull(r, from, q)
+				if second := a.HandlePull(r, from, q); !reflect.DeepEqual(first, second) {
+					t.Fatalf("%s: round %d, puller %d: answers differ across repeated queries:\n%v\n%v",
+						dev.Name(), r, from, first, second)
+				}
+			}
+		}
 	}
 }
 

@@ -22,13 +22,13 @@ import (
 // failed pull. Delivery to a node that has shut down also reports false.
 //
 // Concurrency contract: implementations must be safe for concurrent Deliver
-// calls. The round-barrier coordinator happens to deliver serially today,
-// but conduits outlive that accident — the socket transport acks deliveries
-// from listener goroutines, and a concurrent scheduler would overlap
-// Delivers freely — so a conduit may never assume callers serialize it.
+// calls. The round-barrier coordinator calls Deliver serially — only for
+// conduits without the BatchConduit seam — but a conduit may never assume
+// callers serialize it: the socket transport acks deliveries from listener
+// goroutines, and a concurrent scheduler would overlap Delivers freely.
 // (For seed-derived randomness this means guarding the stream; the draw
 // order, and with it bit-for-bit reproducibility, is then still determined
-// by whatever order the scheduler calls Deliver in — serial today.)
+// by whatever order the scheduler calls Deliver in.)
 //
 // A Conduit that holds transport resources may additionally implement
 // io.Closer; Runtime.Shutdown closes it after every node goroutine has

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/runtime"
 	"repro/internal/runtime/netconduit"
 	"repro/internal/scenario"
@@ -51,6 +52,13 @@ func simRun(t *testing.T, name string, seed uint64, workers int) (core.RunResult
 // under the deterministic channel conduit.
 func runtimeRun(t *testing.T, name string, seed uint64, opts runtime.Options) (core.RunResult, []byte) {
 	t.Helper()
+	res, _, tr := runtimeRunLive(t, name, seed, opts)
+	return res, tr
+}
+
+// runtimeRunLive is runtimeRun that also returns the runtime's live report.
+func runtimeRunLive(t *testing.T, name string, seed uint64, opts runtime.Options) (core.RunResult, metrics.Live, []byte) {
+	t.Helper()
 	sc, ok := scenario.Lookup(name)
 	if !ok {
 		t.Fatalf("builtin %q not registered", name)
@@ -62,11 +70,11 @@ func runtimeRun(t *testing.T, name string, seed uint64, opts runtime.Options) (c
 	mem := &trace.Memory{}
 	cfg := r.RunConfig(seed)
 	cfg.Trace = mem
-	res, _, err := runtime.Execute(context.Background(), cfg, opts)
+	res, live, err := runtime.Execute(context.Background(), cfg, opts)
 	if err != nil {
 		t.Fatalf("runtime.Execute(%s): %v", name, err)
 	}
-	return res, transcriptBytes(mem.Events())
+	return res, live, transcriptBytes(mem.Events())
 }
 
 // equivalenceBuiltins is the pinned scenario table: static topologies, the
@@ -139,6 +147,45 @@ func TestRuntimeTranscriptEquivalence(t *testing.T) {
 				if !reflect.DeepEqual(sockRes, rtRes) {
 					t.Fatalf("%s: results differ\nchannel: %+v\nsocket:  %+v", network, rtRes, sockRes)
 				}
+			}
+		})
+	}
+}
+
+// serialConduit hides the wrapped conduit's NewBatch, so the runtime drives
+// it through the serial per-message path: one blocking Deliver per message.
+type serialConduit struct{ runtime.Conduit }
+
+// TestPipelinedMatchesSerial pins the pipelined delivery waves against the
+// serial per-message path on the same channel transport, including under
+// message loss, where the pipelined pull phase draws every query and reply
+// loss in its resolution pass. Beyond transcripts and results, the live
+// delivery counts must agree too: a query the loss stream drops is answered
+// in the pipelined query wave, but it must not count as delivered.
+func TestPipelinedMatchesSerial(t *testing.T) {
+	const seed = 42
+	for _, name := range []string{"lossy-links", "relaxed-lossy", "retransmit-lossy", "baseline", "crash-mid-voting"} {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			pipeRes, pipeLive, pipeTr := runtimeRunLive(t, name, seed, runtime.Options{})
+			serRes, serLive, serTr := runtimeRunLive(t, name, seed, runtime.Options{Conduit: serialConduit{runtime.ChannelConduit{}}})
+			if !bytes.Equal(pipeTr, serTr) {
+				t.Fatalf("transcripts differ (pipelined %d bytes, serial %d bytes)\nfirst pipelined lines:\n%s\nfirst serial lines:\n%s",
+					len(pipeTr), len(serTr), head(pipeTr), head(serTr))
+			}
+			pipeRes.Agents, serRes.Agents = nil, nil
+			if !reflect.DeepEqual(pipeRes, serRes) {
+				t.Fatalf("results differ\npipelined: %+v\nserial:    %+v", pipeRes, serRes)
+			}
+			type counts struct{ Delivered, Pushes, Votes, Queries, Replies int64 }
+			pc := counts{pipeLive.Delivered, pipeLive.Pushes, pipeLive.Votes, pipeLive.Queries, pipeLive.Replies}
+			sc := counts{serLive.Delivered, serLive.Pushes, serLive.Votes, serLive.Queries, serLive.Replies}
+			if pc != sc {
+				t.Fatalf("live counts differ\npipelined: %+v\nserial:    %+v", pc, sc)
+			}
+			if pc.Queries == 0 || pc.Replies == 0 {
+				t.Fatalf("no pull traffic delivered (%+v) — the comparison proved nothing", pc)
 			}
 		})
 	}

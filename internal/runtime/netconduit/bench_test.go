@@ -17,12 +17,29 @@ import (
 // conduit) it prices the socket rung of the transport ladder. Gated at
 // n=1024 in BENCH_BASELINE.json with a wide ns threshold (kernel-timing-
 // dominated) and a tight alloc budget guarding the pooled encode/ack path.
+//
+// The drop=0.05 cases run the relaxed variant (MinVotes 20) under 5% message
+// loss, the loss cell of the benchmark ladder: their pull phases draw every
+// query and reply loss inside the batched waves. They are not gated.
 func BenchmarkSocketConduitRound(b *testing.B) {
-	for _, n := range []int{128, 1024} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			p, err := core.NewParams(n, 2, 3.0)
+	cases := []struct {
+		drop float64
+		n    int
+	}{{0, 128}, {0, 1024}, {0.05, 128}, {0.05, 1024}}
+	for _, bc := range cases {
+		name := fmt.Sprintf("n=%d", bc.n)
+		if bc.drop > 0 {
+			name = fmt.Sprintf("drop=%g/n=%d", bc.drop, bc.n)
+		}
+		b.Run(name, func(b *testing.B) {
+			p, err := core.NewParams(bc.n, 2, 3.0)
 			if err != nil {
 				b.Fatal(err)
+			}
+			if bc.drop > 0 {
+				if p, err = p.WithProtocol(core.Protocol{Variant: core.ProtocolRelaxed, MinVotes: 20}); err != nil {
+					b.Fatal(err)
+				}
 			}
 			ctx := context.Background()
 			var rt *runtime.Runtime
@@ -33,8 +50,9 @@ func BenchmarkSocketConduitRound(b *testing.B) {
 				}
 				setup, err = core.PrepareRun(core.RunConfig{
 					Params: p,
-					Colors: core.UniformColors(n, 2),
+					Colors: core.UniformColors(bc.n, 2),
 					Seed:   1,
+					Drop:   bc.drop,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -28,17 +28,18 @@
 // not need a synchronous transport round trip per message — only per-
 // destination delivery order and coordinator-ordered observables. When the
 // conduit implements BatchConduit, each phase of a round is dispatched as
-// one pipelined wave: loss decisions are drawn from the Drop stream in
-// simulator order before dispatch, the whole delivery set is handed to the
-// transport without waiting per message, and results, trace events, and
-// accounting are settled at the barrier in the simulator's order — so the
-// transcript stays byte-identical while the transport coalesces frames and
-// overlaps acknowledgements. Pull rounds pipeline only when Drop == 0: the
-// simulator interleaves a pull's conditional reply-loss draw with the next
-// pull's query draw, so a lossy pull phase keeps the serial per-message path
-// to preserve the stream's exact order. Conduits without the batch seam
-// (FaultConduit, external test transports) are always driven serially,
-// exactly as before.
+// pipelined waves: the whole delivery set is handed to the transport without
+// waiting per message, and loss draws, results, trace events, and accounting
+// are settled at the barrier in the simulator's order — so the transcript
+// stays byte-identical while the transport coalesces frames and overlaps
+// acknowledgements. Push losses are drawn before dispatch. A pull phase
+// dispatches every query to a non-silent target first and draws each pull's
+// query loss, then its conditional reply loss, in the puller-ordered
+// resolution pass that follows the query wave; a query the stream drops is
+// answered but its answer is discarded. That is exact because HandlePull
+// never changes agent state (the gossip.Agent contract). Conduits without
+// the batch seam (FaultConduit, external test transports) are always driven
+// serially, one blocking Deliver per message.
 //
 // On top of that parity the runtime measures what the simulator cannot:
 // wall-clock convergence and per-message delivery latency, reported as a
@@ -124,12 +125,12 @@ type Runtime struct {
 
 	// Pipelined-delivery scratch, reused every round. batch is non-nil iff
 	// the conduit implements BatchConduit; evq/evhead are the per-destination
-	// FIFO queues that match wave completions back to their dispatches.
+	// FIFO queues that match query-wave completions back to their dispatches.
 	batch  Batch
 	pfates []pushFate
 	precs  []pullRec
 	oks    []bool
-	evq    [][]gossip.Payload
+	evq    [][]event
 	evhead []int
 
 	lat       stats.QuantileSketch
@@ -153,11 +154,11 @@ const (
 // pipelined pull phase. The final disposition (note, accounting) is settled
 // at the barrier so trace bytes come out in exactly the serial order.
 type pullRec struct {
-	fate      pushFate // pushSelf / pushSilent ("no-reply") / pushSent (query dispatched)
+	fate      pushFate // pushSelf / pushSilent (nothing dispatched) / pushSent (query dispatched)
 	note      string   // final trace note; "" means a successful pull
-	isReply   bool     // a real reply was dispatched in wave 2
-	w2        int32    // index into the wave-2 results, -1 if none
-	replyBits int32    // accounted size of the dispatched reply
+	served    bool     // the target answered a kept query with a real reply
+	w2        int32    // index into the wave-2 results, -1 if the reply was not dispatched
+	replyBits int32    // accounted size of the served reply
 }
 
 // New validates cfg, builds the node set, and starts one goroutine per
@@ -221,7 +222,7 @@ func New(cfg Config, agents []gossip.Agent) *Runtime {
 	rt.dyn, _ = cfg.Topology.(topo.Dynamic)
 	if bc, ok := conduit.(BatchConduit); ok {
 		rt.batch = bc.NewBatch()
-		rt.evq = make([][]gossip.Payload, n)
+		rt.evq = make([][]event, n)
 		rt.evhead = make([]int, n)
 	}
 	for i, a := range agents {
@@ -375,22 +376,17 @@ func (rt *Runtime) step() {
 	}
 
 	// Delivery: pipelined waves when the conduit can batch, the serial
-	// per-message path otherwise. A lossy pull phase always runs serially —
-	// the simulator interleaves each pull's conditional reply-loss draw with
-	// the next pull's query draw, so its stream order cannot be pre-drawn.
-	// (Push losses are one unconditional draw per non-self push in sender
-	// order, and all push draws precede all pull draws, so the push wave may
-	// pipeline even under loss.)
+	// per-message path otherwise. Both draw the Drop stream in the
+	// simulator's order: one draw per non-self push in sender order, then,
+	// pull by pull in puller order, the query draw and the conditional reply
+	// draw.
 	if rt.batch != nil {
 		rt.deliverPushesBatched(round)
+		rt.resolvePullsBatched(round)
 	} else {
 		for _, u := range rt.pushes {
 			rt.deliverPush(round, int(u), rt.actions[u])
 		}
-	}
-	if rt.batch != nil && rt.drop == 0 {
-		rt.resolvePullsBatched(round)
-	} else {
 		for _, u := range rt.pulls {
 			rt.resolvePull(round, int(u), rt.actions[u])
 		}
@@ -532,25 +528,24 @@ func (rt *Runtime) collectEvents(n int) {
 	}
 }
 
-// collectReplies is collectEvents for the query wave: each event additionally
-// carries the target's HandlePull result, queued per target in processing
-// order. Because a node's events arrive in its mailbox order, and the batch
-// preserves per-destination Add order, popping evq[target] during the
-// puller-ordered resolution pass matches each reply to its query.
+// collectReplies drains the query wave's n completion events, queueing each
+// — with its HandlePull result and delivery latency — per target in
+// processing order. Because a node's events arrive in its mailbox order, and
+// the batch preserves per-destination Add order, popping evq[target] during
+// the puller-ordered resolution pass matches each answer to its query. The
+// latency is folded into the sketch only there, once the loss stream has
+// kept the query.
 func (rt *Runtime) collectReplies(n int) {
 	for ; n > 0; n-- {
 		ev := <-rt.events
-		if ev.timed {
-			rt.lat.Add(int64(ev.latency))
-		}
-		rt.evq[ev.id] = append(rt.evq[ev.id], ev.reply)
+		rt.evq[ev.id] = append(rt.evq[ev.id], ev)
 	}
 }
 
-// popReply consumes the next queued HandlePull result from node id. An
+// popReply consumes the next queued query completion from node id. An
 // out-of-range panic here means a delivered query produced no event — a
 // broken conduit or node, worth failing loudly over.
-func (rt *Runtime) popReply(id int) gossip.Payload {
+func (rt *Runtime) popReply(id int) event {
 	h := rt.evhead[id]
 	rt.evhead[id]++
 	return rt.evq[id][h]
@@ -625,17 +620,22 @@ func (rt *Runtime) deliverPushesBatched(round int) {
 	}
 }
 
-// resolvePullsBatched resolves the round's pull set in pipelined waves (only
-// when Drop == 0; see step). Wave 1 dispatches every query — self-pulls ride
+// resolvePullsBatched resolves the round's pull set in pipelined waves.
+// Wave 1 dispatches every query without drawing its loss — self-pulls ride
 // the batch for mailbox-order safety, quiescent targets dispatch nothing —
-// and collects the targets' HandlePull results at the barrier. The resolution
-// pass then walks pullers in ascending order, matching replies per-target
-// FIFO, and assembles wave 2: real replies cross the conduit (timed), while
-// nil-reply notifications go straight to the puller's mailbox exactly as the
-// serial path's roundTrip does — they are not link crossings. Wave 2 has at
-// most one message per puller, so no ordering hazard remains. Accounting and
-// trace events are settled last, in puller order; a reply the transport loses
-// (rare: a dying connection) is re-notified serially there.
+// and collects the targets' HandlePull results at the barrier. The
+// resolution pass then walks pullers in ascending order and makes exactly
+// the Drop draws resolvePull makes: the query draw first (before the silence
+// check, so a quiescent target can end in "query-lost"), then, only for a
+// kept query answered with a real reply, the reply draw. A query the stream
+// dropped was still answered; its answer is popped and discarded, uncounted
+// and untimed — exact because HandlePull never changes agent state. Kept
+// replies form wave 2 and cross the conduit (timed), while nil-reply
+// notifications go straight to the puller's mailbox as the serial path's
+// roundTrip does. Wave 2 has at most one message per puller, so no ordering
+// hazard remains. Accounting and trace events are settled last, in puller
+// order; a reply the transport loses (rare: a dying connection) is
+// re-notified serially there.
 func (rt *Runtime) resolvePullsBatched(round int) {
 	if len(rt.pulls) == 0 {
 		return
@@ -650,7 +650,7 @@ func (rt *Runtime) resolvePullsBatched(round int) {
 			rt.batch.Add(rt.nodes[u], Message{Kind: MsgQuery, Round: round, From: u, Payload: a.Payload})
 			rt.precs = append(rt.precs, pullRec{fate: pushSelf})
 		case rt.silent(round, a.To):
-			rt.precs = append(rt.precs, pullRec{fate: pushSilent, note: "no-reply"})
+			rt.precs = append(rt.precs, pullRec{fate: pushSilent})
 		default:
 			rt.batch.Add(rt.nodes[a.To], Message{Kind: MsgQuery, Round: round, From: u, Payload: a.Payload, SentAt: now})
 			rt.precs = append(rt.precs, pullRec{fate: pushSent})
@@ -665,8 +665,9 @@ func (rt *Runtime) resolvePullsBatched(round int) {
 	}
 	rt.collectReplies(succ)
 
-	// Resolution pass, in puller order: match each delivered query to its
-	// target's queued HandlePull result and dispatch the reply wave.
+	// Resolution pass, in puller order: draw each pull's losses in the
+	// simulator's order, match each delivered query to its target's queued
+	// HandlePull result, and dispatch the reply wave.
 	now = time.Now()
 	w2 := int32(0)
 	notifies := 0
@@ -676,41 +677,53 @@ func (rt *Runtime) resolvePullsBatched(round int) {
 		a := rt.actions[u]
 		rec := &rt.precs[i]
 		rec.w2 = -1
-		switch rec.fate {
-		case pushSelf:
+		if rec.fate == pushSelf {
 			if rt.oks[j] {
 				rt.popReply(u) // nil placeholder from the short-circuit event
 			}
 			j++
-		case pushSilent:
-			if rt.nodes[u].Send(Message{Kind: MsgReply, Round: round, From: a.To}) {
-				notifies++
-			}
-		case pushSent:
-			ok := rt.oks[j]
+			continue
+		}
+		queryLost := rt.lost()
+		delivered := false
+		var ev event
+		if rec.fate == pushSent {
+			delivered = rt.oks[j]
 			j++
-			if !ok {
-				rec.note = "query-lost"
-				if rt.nodes[u].Send(Message{Kind: MsgReply, Round: round, From: a.To}) {
-					notifies++
-				}
-				continue
+			if delivered {
+				ev = rt.popReply(a.To)
 			}
-			reply := rt.popReply(a.To)
+		}
+		switch {
+		case queryLost:
+			rec.note = "query-lost"
+		case rec.fate == pushSilent:
+			rec.note = "no-reply"
+		case !delivered:
+			rec.note = "query-lost"
+		default:
+			if ev.timed {
+				rt.lat.Add(int64(ev.latency))
+			}
 			rt.delivered++
 			rt.kinds[MsgQuery]++
-			if reply == nil {
+			if ev.reply == nil {
 				rec.note = "refused"
-				if rt.nodes[u].Send(Message{Kind: MsgReply, Round: round, From: a.To}) {
-					notifies++
-				}
-				continue
+				break
 			}
-			rec.isReply = true
-			rec.replyBits = int32(gossip.PayloadBits(reply))
+			rec.served = true
+			rec.replyBits = int32(gossip.PayloadBits(ev.reply))
+			if rt.lost() {
+				rec.note = "reply-lost"
+				break
+			}
 			rec.w2 = w2
 			w2++
-			rt.batch.Add(rt.nodes[u], Message{Kind: MsgReply, Round: round, From: a.To, Payload: reply, SentAt: now})
+			rt.batch.Add(rt.nodes[u], Message{Kind: MsgReply, Round: round, From: a.To, Payload: ev.reply, SentAt: now})
+			continue
+		}
+		if rt.nodes[u].Send(Message{Kind: MsgReply, Round: round, From: a.To}) {
+			notifies++
 		}
 	}
 	rt.oks = append(rt.oks[:0], rt.batch.Flush()...)
@@ -722,37 +735,34 @@ func (rt *Runtime) resolvePullsBatched(round int) {
 	}
 	rt.collectEvents(succ)
 
-	// Barrier settlement, in puller order — the simulator's order.
+	// Barrier settlement, in puller order — the simulator's order. Self-pulls
+	// are local and free, exactly the serial path: no cost, no trace.
 	for i := range rt.precs {
+		rec := &rt.precs[i]
+		if rec.fate == pushSelf {
+			continue
+		}
 		u := int(rt.pulls[i])
 		a := rt.actions[u]
-		rec := &rt.precs[i]
-		switch rec.fate {
-		case pushSelf:
-			// Local and free, exactly the serial path: no cost, no trace.
-		case pushSilent:
-			rt.tally.AddMessage(gossip.PayloadBits(a.Payload))
+		rt.tally.AddMessage(gossip.PayloadBits(a.Payload))
+		if rec.served {
+			rt.tally.AddMessage(int(rec.replyBits))
+		}
+		if rec.w2 < 0 {
 			rt.tally.AddPull(false)
 			rt.emit(trace.Event{Round: round, Kind: trace.KindPull, From: u, To: a.To, Note: rec.note})
-		case pushSent:
-			rt.tally.AddMessage(gossip.PayloadBits(a.Payload))
-			if !rec.isReply {
-				rt.tally.AddPull(false)
-				rt.emit(trace.Event{Round: round, Kind: trace.KindPull, From: u, To: a.To, Note: rec.note})
-				continue
-			}
-			rt.tally.AddMessage(int(rec.replyBits))
-			if !rt.oks[rec.w2] {
-				// The transport lost the reply after the target served it:
-				// account the failure and re-notify the puller serially.
-				rt.failPull(round, u, a.To, "reply-lost")
-				continue
-			}
-			rt.delivered++
-			rt.kinds[MsgReply]++
-			rt.tally.AddPull(true)
-			rt.emit(trace.Event{Round: round, Kind: trace.KindPull, From: u, To: a.To})
+			continue
 		}
+		if !rt.oks[rec.w2] {
+			// The transport lost the reply after the target served it:
+			// account the failure and re-notify the puller serially.
+			rt.failPull(round, u, a.To, "reply-lost")
+			continue
+		}
+		rt.delivered++
+		rt.kinds[MsgReply]++
+		rt.tally.AddPull(true)
+		rt.emit(trace.Event{Round: round, Kind: trace.KindPull, From: u, To: a.To})
 	}
 
 	// Reset the per-target reply queues touched this round.
