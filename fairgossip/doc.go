@@ -101,7 +101,8 @@
 // touching the protocol. LiveOptions.Transport selects the rung: "channel"
 // (the default) hands each message straight to the destination mailbox;
 // TransportDrop and Jitter wrap any rung in seed-deterministic fault
-// injection; "unix" and "tcp" carry every delivery across a real OS socket
+// injection whose outcomes do not depend on the rung beneath it or on the
+// jitter; "unix" and "tcp" carry every delivery across a real OS socket
 // as length-prefixed binary frames. Because the protocol's correctness
 // barrier is the round, not the message, the scheduler dispatches each
 // round's deliveries as pipelined waves and the socket rungs coalesce all

@@ -24,13 +24,17 @@ type LiveOptions struct {
 	// error wrapping ErrInvalidScenario.
 	Transport string
 	// TransportDrop adds a per-message transport-level loss probability in
-	// [0, 1) on top of the scenario's FaultModel.Drop. The transport draws
-	// from its own seed-derived stream, so lossy live runs repeat
-	// bit-for-bit.
+	// [0, 1) on top of the scenario's FaultModel.Drop. Whether a message is
+	// lost is a function of the seed and the message itself (round, kind,
+	// sender, receiver), so lossy live runs repeat bit-for-bit and lose the
+	// same messages on every Transport and at every Jitter. A node's messages
+	// to itself are never lost.
 	TransportDrop float64
 	// Jitter delays each delivered message by a uniform [0, Jitter) amount,
-	// spreading the latency distribution; 0 keeps the in-process transport's
-	// native latency.
+	// spreading the latency distribution; 0 keeps the transport's native
+	// latency. Delays run concurrently, as link latency does, while each
+	// node still receives its messages in order; jitter changes the latency
+	// observables only, never the outcome.
 	Jitter time.Duration
 	// Mailbox is the per-node inbox capacity (backpressure bound); 0 picks
 	// the runtime default.

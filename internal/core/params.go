@@ -125,10 +125,16 @@ func NewParams(n, numColors int, gamma float64) (Params, error) {
 	if numColors < 1 || numColors > n {
 		return Params{}, fmt.Errorf("core: numColors = %d out of range [1, n]", numColors)
 	}
-	if gamma <= 0 {
-		return Params{}, fmt.Errorf("core: gamma = %v must be positive", gamma)
+	if !(gamma > 0) || math.IsInf(gamma, 1) {
+		return Params{}, fmt.Errorf("core: gamma = %v must be positive and finite", gamma)
 	}
-	q := int(math.Ceil(gamma * math.Log2(float64(n))))
+	// Params also arrive from the network, so a γ whose q would not fit an
+	// int32 is rejected rather than converted with an undefined result.
+	qf := math.Ceil(gamma * math.Log2(float64(n)))
+	if qf > math.MaxInt32 {
+		return Params{}, fmt.Errorf("core: gamma = %v makes q = ⌈γ·log₂ n⌉ = %v too large", gamma, qf)
+	}
+	q := int(qf)
 	if q < 1 {
 		q = 1
 	}

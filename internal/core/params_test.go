@@ -37,12 +37,15 @@ func TestNewParamsErrors(t *testing.T) {
 		n, colors int
 		gamma     float64
 	}{
-		{1, 1, 1},        // n too small
-		{MaxN + 1, 2, 1}, // n too large
-		{10, 0, 1},       // no colors
-		{10, 11, 1},      // more colors than nodes
-		{10, 2, 0},       // gamma zero
-		{10, 2, -1},      // gamma negative
+		{1, 1, 1},            // n too small
+		{MaxN + 1, 2, 1},     // n too large
+		{10, 0, 1},           // no colors
+		{10, 11, 1},          // more colors than nodes
+		{10, 2, 0},           // gamma zero
+		{10, 2, -1},          // gamma negative
+		{10, 2, math.NaN()},  // gamma not a number
+		{10, 2, math.Inf(1)}, // gamma infinite
+		{10, 2, 1e300},       // q overflows
 	}
 	for _, c := range cases {
 		if _, err := NewParams(c.n, c.colors, c.gamma); err == nil {

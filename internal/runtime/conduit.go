@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -11,58 +12,48 @@ import (
 
 // Conduit is the pluggable transport between the scheduler and a node's
 // mailbox. The protocol logic never sees it: swapping the transport — for a
-// lossy one, a delaying one, eventually a socket-backed one — changes how
-// messages travel, never what they mean.
+// lossy one, a delaying one, a socket-backed one — changes how messages
+// travel, never what they mean.
+//
+// The coordinator drives a conduit only through batches: the protocol's
+// correctness barrier is the round, not the message, so each phase of a
+// round is handed over as one delivery wave (NewBatch) and settled at the
+// barrier instead of paying a synchronous transport round trip per message.
 //
 // Deliver carries one payload message into dst's mailbox, blocking while
 // the mailbox is full (the runtime's backpressure). It reports whether the
 // message survived transport: false means the conduit dropped it before it
-// reached dst (dst is untouched), and the scheduler then applies the same
-// loss semantics the simulator's FaultModel.Drop produces — a lost push, a
-// failed pull. Delivery to a node that has shut down also reports false.
-//
-// Concurrency contract: implementations must be safe for concurrent Deliver
-// calls. The round-barrier coordinator calls Deliver serially — only for
-// conduits without the BatchConduit seam — but a conduit may never assume
-// callers serialize it: the socket transport acks deliveries from listener
-// goroutines, and a concurrent scheduler would overlap Delivers freely.
-// (For seed-derived randomness this means guarding the stream; the draw
-// order, and with it bit-for-bit reproducibility, is then still determined
-// by whatever order the scheduler calls Deliver in.)
+// reached dst (dst is untouched). Delivery to a node that has shut down also
+// reports false. Deliver must be safe for concurrent use: a conduit layered
+// over another (FaultConduit) releases delayed messages through it from
+// several goroutines at once.
 //
 // A Conduit that holds transport resources may additionally implement
 // io.Closer; Runtime.Shutdown closes it after every node goroutine has
 // exited.
 type Conduit interface {
 	Deliver(dst *Node, m Message) bool
-}
-
-// BatchConduit is the round-batched seam of the transport: a conduit that
-// can additionally accept a whole delivery wave without blocking per
-// message. The coordinator uses it to pipeline a round — dispatch every
-// delivery of one phase, then settle all results at the round barrier —
-// instead of paying one synchronous transport round trip per message. A
-// conduit that does not implement it (the fault-injecting layer, external
-// test conduits) is driven through Deliver exactly as before.
-//
-// The protocol's correctness barrier is the round, not the message, so the
-// only ordering a batch must preserve is per destination: messages Added for
-// the same node must enter its mailbox in Add order (the simulator delivers
-// in ascending sender order, and vote multisets, certificate W-entry order,
-// and trace bytes all depend on it). Cross-destination interleaving is free.
-type BatchConduit interface {
-	Conduit
 	// NewBatch returns an empty, reusable delivery batch. A batch is owned
-	// by one goroutine (the coordinator) and is not safe for concurrent use;
-	// the conduit itself must still honor Deliver's concurrency contract.
+	// by one goroutine (the coordinator) and is not safe for concurrent use.
 	NewBatch() Batch
 }
+
+// BatchConduit is the name Conduit had while an unbatched transport was
+// still allowed. It is kept as an alias because code outside this module's
+// packages (the benchmark harness) embeds it; new code should say Conduit.
+type BatchConduit = Conduit
 
 // Batch collects one wave of deliveries. Add enqueues without waiting for
 // the result; Flush forces everything onto the wire and blocks until every
 // added delivery has resolved — mailbox-accepted (true) or lost in transport
 // (false) — returning the results in Add order. The returned slice is valid
 // until the next Add or Flush; the batch is empty and reusable afterwards.
+//
+// The only ordering a batch must preserve is per destination: messages
+// Added for the same node must enter its mailbox in Add order (the simulator
+// delivers in ascending sender order, and vote multisets, certificate W-entry
+// order, and trace bytes all depend on it). Cross-destination interleaving
+// is free.
 //
 // Add may still block on destination-mailbox backpressure (the channel
 // transport hands off directly; the socket transport's server blocks the
@@ -82,10 +73,10 @@ type ChannelConduit struct{}
 // Deliver hands the message straight to the destination node.
 func (ChannelConduit) Deliver(dst *Node, m Message) bool { return dst.Send(m) }
 
-// NewBatch implements BatchConduit. A channel batch has nothing to
-// coalesce — each Add is the same direct mailbox handoff Deliver makes — so
-// batching buys exactly the pipelining: the coordinator no longer waits for
-// a completion event between handoffs, and node handlers overlap with the
+// NewBatch implements Conduit. A channel batch has nothing to coalesce —
+// each Add is the same direct mailbox handoff Deliver makes — so batching
+// buys exactly the pipelining: the coordinator no longer waits for a
+// completion event between handoffs, and node handlers overlap with the
 // rest of the wave's dispatch.
 func (ChannelConduit) NewBatch() Batch { return &channelBatch{} }
 
@@ -104,37 +95,48 @@ func (b *channelBatch) Flush() []bool {
 	return r
 }
 
-// conduitStreamSalt separates a FaultConduit's transport randomness from
-// every other use of a run seed — in particular from the scheduler-level
-// loss stream (core's dropStreamSalt), which must stay aligned with the
-// simulator's draw order.
+// conduitStreamSalt separates a FaultConduit's fate hashes from every other
+// use of a run seed — in particular from the scheduler-level loss stream
+// (core's dropStreamSalt), which must stay aligned with the simulator's draw
+// order.
 const conduitStreamSalt = 0xfa117c0d
+
+// Salts of the two independent per-message fate hashes.
+const (
+	fateDropSalt  = 1
+	fateDelaySalt = 2
+)
 
 // FaultConduit layers seed-derived per-message drop and latency jitter on
 // top of an inner transport. Drops reuse the simulator's FaultModel.Drop
 // observation model (the sender has paid, the receiver sees silence); jitter
-// delays each delivery by a uniform [0, Jitter) sleep, turning the latency
-// distribution from a point mass into something worth measuring. Both draws
-// come from one private stream, so a faulty transport is exactly as
-// reproducible as a clean one.
+// delays each delivery by a uniform [0, Jitter) amount, turning the latency
+// distribution from a point mass into something worth measuring.
 //
-// The stream is guarded by a mutex: concurrent Delivers (see the Conduit
-// concurrency contract) draw race-free, in whatever order they arrive. Under
-// a serial caller — the round-barrier coordinator — the draw order is the
-// call order and runs stay bit-for-bit reproducible.
+// A message's fate is a pure function of the seed and the message's
+// identity — round, kind, sender, receiver — which is unique within a run
+// because each node takes one action per round. The drop and the delay come
+// from two independent hashes of that identity, so outcomes do not depend on
+// the transport underneath, on the order messages reach the conduit, or on
+// concurrency, and jitter moves latency without ever moving an outcome. Self
+// traffic (sender == receiver) is local and never faulted.
+//
+// Delays are concurrent, like real link latency: a batch Flush releases each
+// destination's survivors from their own goroutine, each message at the
+// flush's start plus its delay but never before the previous message to the
+// same node, so per-destination order holds and a wave costs its largest
+// delay rather than the sum of them.
 type FaultConduit struct {
 	inner  Conduit
 	drop   float64
 	jitter time.Duration
-
-	mu sync.Mutex // guards r: one unguarded stream would race under concurrent Deliver
-	r  rng.Source
+	seed   uint64
 }
 
 // NewFaultConduit builds a fault-injecting transport over inner (nil means
 // ChannelConduit). drop is the per-message transport loss probability in
 // [0, 1); jitter is the maximum per-message delivery delay (0 disables).
-// The stream is derived from seed, so runs repeat bit-for-bit.
+// Fates are derived from seed, so runs repeat bit-for-bit.
 func NewFaultConduit(inner Conduit, seed uint64, drop float64, jitter time.Duration) *FaultConduit {
 	if drop < 0 || drop >= 1 {
 		panic(fmt.Sprintf("runtime: conduit drop probability %v outside [0, 1)", drop))
@@ -145,23 +147,33 @@ func NewFaultConduit(inner Conduit, seed uint64, drop float64, jitter time.Durat
 	if inner == nil {
 		inner = ChannelConduit{}
 	}
-	c := &FaultConduit{inner: inner, drop: drop, jitter: jitter}
-	c.r.Reseed(rng.Mix64(seed, conduitStreamSalt))
-	return c
+	return &FaultConduit{inner: inner, drop: drop, jitter: jitter, seed: rng.Mix64(seed, conduitStreamSalt)}
 }
 
-// Deliver draws the message's fate — drop, then delay — and forwards the
-// survivors to the inner transport. Both draws happen under the stream lock;
-// the jitter sleep itself does not, so concurrent deliveries delay each
-// other only by their own jitter.
-func (c *FaultConduit) Deliver(dst *Node, m Message) bool {
-	c.mu.Lock()
-	dropped := c.drop > 0 && c.r.Bool(c.drop)
-	var delay time.Duration
-	if !dropped && c.jitter > 0 {
-		delay = time.Duration(c.r.Uint64n(uint64(c.jitter)))
+// fate reports whether the message to dst is dropped and, if not, how long
+// its delivery is delayed.
+func (c *FaultConduit) fate(dst int, m Message) (dropped bool, delay time.Duration) {
+	if m.From == dst {
+		return false, 0
 	}
-	c.mu.Unlock()
+	k := rng.Mix64(c.seed, uint64(m.Round))
+	k = rng.Mix64(k, uint64(m.Kind))
+	k = rng.Mix64(k, uint64(m.From))
+	k = rng.Mix64(k, uint64(dst))
+	if c.drop > 0 && float64(rng.Mix64(k, fateDropSalt)>>11)/(1<<53) < c.drop {
+		return true, 0
+	}
+	if c.jitter > 0 {
+		hi, _ := bits.Mul64(rng.Mix64(k, fateDelaySalt), uint64(c.jitter))
+		delay = time.Duration(hi)
+	}
+	return false, delay
+}
+
+// Deliver applies the message's fate and forwards a survivor to the inner
+// transport after its delay.
+func (c *FaultConduit) Deliver(dst *Node, m Message) bool {
+	dropped, delay := c.fate(dst.ID(), m)
 	if dropped {
 		return false
 	}
@@ -169,6 +181,16 @@ func (c *FaultConduit) Deliver(dst *Node, m Message) bool {
 		time.Sleep(delay)
 	}
 	return c.inner.Deliver(dst, m)
+}
+
+// NewBatch implements Conduit. Without jitter, survivors ride a batch of
+// the inner transport, so a socket still coalesces them into frames.
+func (c *FaultConduit) NewBatch() Batch {
+	b := &faultBatch{c: c}
+	if c.jitter == 0 {
+		b.inner = c.inner.NewBatch()
+	}
+	return b
 }
 
 // Close forwards to the inner transport when it holds resources (a wrapped
@@ -179,4 +201,78 @@ func (c *FaultConduit) Close() error {
 		return cl.Close()
 	}
 	return nil
+}
+
+// faultBatch is one FaultConduit delivery wave. Dropped messages only take a
+// false result. Without jitter the survivors go into the inner batch; with
+// jitter they are held per destination until Flush releases them.
+type faultBatch struct {
+	c       *FaultConduit
+	inner   Batch
+	fwd     []int32             // inner result j belongs to Add fwd[j]
+	held    map[*Node][]heldMsg // jitter only: survivors in Add order
+	results []bool
+}
+
+// heldMsg is a delayed survivor waiting for its release time.
+type heldMsg struct {
+	m     Message
+	delay time.Duration
+	idx   int32 // its index in the wave's results
+}
+
+func (b *faultBatch) Add(dst *Node, m Message) {
+	idx := int32(len(b.results))
+	b.results = append(b.results, false)
+	dropped, delay := b.c.fate(dst.ID(), m)
+	switch {
+	case dropped:
+	case b.inner != nil:
+		b.inner.Add(dst, m)
+		b.fwd = append(b.fwd, idx)
+	default:
+		if b.held == nil {
+			b.held = make(map[*Node][]heldMsg)
+		}
+		b.held[dst] = append(b.held[dst], heldMsg{m: m, delay: delay, idx: idx})
+	}
+}
+
+func (b *faultBatch) Flush() []bool {
+	if b.inner != nil {
+		for j, ok := range b.inner.Flush() {
+			b.results[b.fwd[j]] = ok
+		}
+		b.fwd = b.fwd[:0]
+	} else {
+		b.release()
+	}
+	r := b.results
+	b.results = b.results[:0]
+	return r
+}
+
+// release delivers the held survivors, one goroutine per destination, and
+// waits for all of them. Emptied queues stay in the map for reuse.
+func (b *faultBatch) release() {
+	start := time.Now()
+	var wg sync.WaitGroup
+	for dst, q := range b.held {
+		if len(q) == 0 {
+			continue
+		}
+		dst, q := dst, q
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, h := range q {
+				if wait := time.Until(start.Add(h.delay)); wait > 0 {
+					time.Sleep(wait)
+				}
+				b.results[h.idx] = b.c.inner.Deliver(dst, h.m)
+			}
+		}()
+		b.held[dst] = q[:0]
+	}
+	wg.Wait()
 }

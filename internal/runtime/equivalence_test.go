@@ -29,6 +29,14 @@ func transcriptBytes(events []trace.Event) []byte {
 // count, capturing the transcript.
 func simRun(t *testing.T, name string, seed uint64, workers int) (core.RunResult, []byte) {
 	t.Helper()
+	res, events, _ := simEvents(t, name, seed, workers)
+	return res, transcriptBytes(events)
+}
+
+// simEvents is simRun returning the trace events themselves, plus the run
+// configuration (whose fault schedule says which targets were silent).
+func simEvents(t *testing.T, name string, seed uint64, workers int) (core.RunResult, []trace.Event, core.RunConfig) {
+	t.Helper()
 	sc, ok := scenario.Lookup(name)
 	if !ok {
 		t.Fatalf("builtin %q not registered", name)
@@ -45,7 +53,7 @@ func simRun(t *testing.T, name string, seed uint64, workers int) (core.RunResult
 	if err != nil {
 		t.Fatalf("core.Run(%s): %v", name, err)
 	}
-	return res, transcriptBytes(mem.Events())
+	return res, mem.Events(), cfg
 }
 
 // runtimeRun executes the same builtin on the goroutine-per-node runtime
@@ -152,40 +160,70 @@ func TestRuntimeTranscriptEquivalence(t *testing.T) {
 	}
 }
 
-// serialConduit hides the wrapped conduit's NewBatch, so the runtime drives
-// it through the serial per-message path: one blocking Deliver per message.
-type serialConduit struct{ runtime.Conduit }
+// liveCounts are the delivery counts of a metrics.Live report that a
+// transcript determines. Pushes and votes are one count: a trace event does
+// not say which kind of payload a push carried.
+type liveCounts struct{ Delivered, PushesAndVotes, Queries, Replies int64 }
 
-// TestPipelinedMatchesSerial pins the pipelined delivery waves against the
-// serial per-message path on the same channel transport, including under
-// message loss, where the pipelined pull phase draws every query and reply
-// loss in its resolution pass. Beyond transcripts and results, the live
-// delivery counts must agree too: a query the loss stream drops is answered
-// in the pipelined query wave, but it must not count as delivered.
+func countsOf(live metrics.Live) liveCounts {
+	return liveCounts{live.Delivered, live.Pushes + live.Votes, live.Queries, live.Replies}
+}
+
+// transcriptCounts derives the live delivery counts from a transcript, read
+// one message at a time under the run's fault schedule: a push with no note
+// to a non-silent target delivered one push or vote; a successful pull
+// delivered a query and a reply; a refused or reply-lost pull delivered its
+// query. Self traffic is never traced, and never counted.
+func transcriptCounts(events []trace.Event, cfg core.RunConfig) liveCounts {
+	silent := func(r, u int) bool {
+		return (cfg.Faulty != nil && cfg.Faulty[u]) || (cfg.Faults != nil && cfg.Faults.Silent(r, u))
+	}
+	var c liveCounts
+	for _, ev := range events {
+		switch {
+		case ev.Kind == trace.KindPush && ev.Note == "" && !silent(ev.Round, ev.To):
+			c.PushesAndVotes++
+		case ev.Kind == trace.KindPull && ev.Note == "":
+			c.Queries++
+			c.Replies++
+		case ev.Kind == trace.KindPull && (ev.Note == "refused" || ev.Note == "reply-lost"):
+			c.Queries++
+		}
+	}
+	c.Delivered = c.PushesAndVotes + c.Queries + c.Replies
+	return c
+}
+
+// TestPipelinedMatchesSerial pins the pipelined delivery waves against a
+// serial, message-by-message reading of the simulator's execution, including
+// under message loss, where the pull phase draws every query and reply loss
+// in its resolution pass after the query wave. Beyond transcripts and
+// results, the live delivery counts must equal what the simulator's
+// transcript says was delivered: a query the loss stream drops is answered
+// in the query wave, but it must not count as delivered.
 func TestPipelinedMatchesSerial(t *testing.T) {
 	const seed = 42
 	for _, name := range []string{"lossy-links", "relaxed-lossy", "retransmit-lossy", "baseline", "crash-mid-voting"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			pipeRes, pipeLive, pipeTr := runtimeRunLive(t, name, seed, runtime.Options{})
-			serRes, serLive, serTr := runtimeRunLive(t, name, seed, runtime.Options{Conduit: serialConduit{runtime.ChannelConduit{}}})
-			if !bytes.Equal(pipeTr, serTr) {
-				t.Fatalf("transcripts differ (pipelined %d bytes, serial %d bytes)\nfirst pipelined lines:\n%s\nfirst serial lines:\n%s",
-					len(pipeTr), len(serTr), head(pipeTr), head(serTr))
+			simRes, simEv, cfg := simEvents(t, name, seed, 1)
+			simTr := transcriptBytes(simEv)
+			rtRes, live, rtTr := runtimeRunLive(t, name, seed, runtime.Options{})
+			if !bytes.Equal(rtTr, simTr) {
+				t.Fatalf("transcripts differ (runtime %d bytes, simulator %d bytes)\nfirst runtime lines:\n%s\nfirst simulator lines:\n%s",
+					len(rtTr), len(simTr), head(rtTr), head(simTr))
 			}
-			pipeRes.Agents, serRes.Agents = nil, nil
-			if !reflect.DeepEqual(pipeRes, serRes) {
-				t.Fatalf("results differ\npipelined: %+v\nserial:    %+v", pipeRes, serRes)
+			rtRes.Agents, simRes.Agents = nil, nil
+			if !reflect.DeepEqual(rtRes, simRes) {
+				t.Fatalf("results differ\nruntime:   %+v\nsimulator: %+v", rtRes, simRes)
 			}
-			type counts struct{ Delivered, Pushes, Votes, Queries, Replies int64 }
-			pc := counts{pipeLive.Delivered, pipeLive.Pushes, pipeLive.Votes, pipeLive.Queries, pipeLive.Replies}
-			sc := counts{serLive.Delivered, serLive.Pushes, serLive.Votes, serLive.Queries, serLive.Replies}
-			if pc != sc {
-				t.Fatalf("live counts differ\npipelined: %+v\nserial:    %+v", pc, sc)
+			got, want := countsOf(live), transcriptCounts(simEv, cfg)
+			if got != want {
+				t.Fatalf("live counts differ\nruntime:    %+v\ntranscript: %+v", got, want)
 			}
-			if pc.Queries == 0 || pc.Replies == 0 {
-				t.Fatalf("no pull traffic delivered (%+v) — the comparison proved nothing", pc)
+			if got.Queries == 0 || got.Replies == 0 {
+				t.Fatalf("no pull traffic delivered (%+v) — the comparison proved nothing", got)
 			}
 		})
 	}

@@ -10,9 +10,9 @@ import (
 )
 
 // BenchmarkSocketConduitRound measures one lockstep round when every
-// delivery crosses a Unix-domain loopback socket, coalesced into v2 batch
+// delivery crosses a Unix-domain loopback socket, coalesced into batch
 // frames with bitmap acks — a handful of writes per round instead of a
-// synchronous write→ack round trip per message. Read next to
+// write→ack round trip per message. Read next to
 // BenchmarkRuntimeRound (same scenario through the in-process channel
 // conduit) it prices the socket rung of the transport ladder. Gated at
 // n=1024 in BENCH_BASELINE.json with a wide ns threshold (kernel-timing-

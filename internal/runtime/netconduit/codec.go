@@ -3,20 +3,17 @@
 // loopback interface or a Unix domain socket — instead of an in-process
 // channel handoff. The protocol logic is untouched, and the runtime's
 // transcript stays byte-identical to the simulator's (pinned by the
-// equivalence suite in internal/runtime) on both of the conduit's paths:
-// the serial one, where Deliver writes one message frame and waits for its
-// ack, and the batched one (runtime.BatchConduit), where the coordinator
-// stages a whole delivery wave and the conduit coalesces all same-peer
-// messages of a flush into multi-message v2 frames — one write, one batched
-// ack — with per-peer windows of in-flight frames settled at the barrier.
+// equivalence suite in internal/runtime). The coordinator stages each
+// delivery wave in a batch, and the conduit coalesces all same-peer messages
+// of a flush into multi-message frames — one write, one bitmap ack — with
+// per-peer windows of in-flight frames settled at the barrier. Deliver sends
+// a single message as a one-message frame of the same format.
 //
 // # Frame format
 //
 // Every frame is a 4-byte big-endian length prefix followed by a body of at
 // most MaxFrame bytes. The body's first byte is the frame type:
 //
-//	message frame: 1 | codec version (1) | seq uvarint | message body
-//	ack frame:     2 | seq uvarint | ok byte
 //	batch frame:   3 | batch version (2) | seq uvarint | count uvarint |
 //	               count × message body
 //	batch ack:     4 | seq uvarint | count uvarint | ⌈count/8⌉ bitmap bytes
@@ -26,27 +23,21 @@
 //	kind byte | flags byte | round uvarint | from uvarint | to uvarint |
 //	[sent-at ticks varint, if flags&1] | payload
 //
-// A message frame carries one runtime.Message to the node with index "to";
-// the listener routes it into that node's mailbox and answers with an ack
-// frame carrying the same sequence number, so Deliver keeps the conduit's
-// synchronous round-trip contract (true only once the destination mailbox
-// accepted the message). A batch frame carries the bodies of one flush's
-// same-peer messages back to back, in delivery order; the listener routes
-// each body in sequence — preserving the per-destination FIFO order the
-// round-barrier coordinator depends on — and answers with a single batch
-// ack whose bitmap holds each body's mailbox result (bit i, LSB-first in
-// byte i/8, is body i's Send result). Message bodies are self-delimiting,
-// so the batch carries no per-body length. A v1-only reader that predates
-// the batch frame rejects type 3 as unknown and drops the connection; the
-// sender's window fails as transport losses and the next flush re-dials —
-// mixed versions fail closed instead of corrupting a round. SentAt crosses
-// the wire as monotonic ticks relative to the conduit's epoch — exact when
-// sender and receiver share the conduit (the single-process loopback case);
-// cross-process latency calibration is the sharded-serve follow-up's
-// problem.
+// A batch frame carries count runtime.Messages back to back, in delivery
+// order, each addressed to the node with index "to". The listener decodes
+// the whole frame, routes each message in sequence — preserving the
+// per-destination FIFO order the round-barrier coordinator depends on — and
+// answers with a batch ack carrying the same sequence number, whose bitmap
+// holds each message's mailbox result (bit i, LSB-first in byte i/8, is
+// message i's Send result). Message bodies are self-delimiting, so the batch
+// carries no per-body length. Any other frame type or version is rejected as
+// unknown. SentAt crosses the wire as monotonic ticks relative to the
+// conduit's epoch — exact when sender and receiver share the conduit (the
+// single-process loopback case); cross-process latency calibration is the
+// sharded-serve follow-up's problem.
 //
-// The payload encoding is versioned (codecVersion) and covers exactly the
-// concrete gossip.Payload types the protocol produces, tagged:
+// The payload encoding covers exactly the concrete gossip.Payload types the
+// protocol produces, tagged:
 //
 //	0 nil | 1 core.Intentions | 2 core.Vote | 3 core.IntentQuery |
 //	4 core.CertQuery | 5 *core.Certificate
@@ -54,9 +45,10 @@
 // Each payload starts with its Params (n, colors, gamma bits, protocol
 // variant) so the receiver reconstructs the exact same core.Params — bit
 // widths included — via core.NewParams + WithProtocol. Malformed frames
-// (bad tag, truncated varint, oversized length, garbage trailing bytes) are
-// connection-fatal: the receiver drops the connection rather than guess, and
-// the sender's pending deliveries fail as transport losses.
+// (unknown type, version or message kind, bad tag, truncated varint,
+// oversized length, garbage trailing bytes) are connection-fatal: the
+// receiver drops the connection rather than guess, and the sender's pending
+// deliveries fail as transport losses.
 package netconduit
 
 import (
@@ -72,12 +64,8 @@ import (
 	"repro/internal/runtime"
 )
 
-// codecVersion is the message-frame payload encoding version. A receiver
-// rejects frames speaking any other version instead of guessing.
-const codecVersion = 1
-
-// batchVersion is the batch-frame encoding version — v2 of the wire
-// protocol; single-message v1 frames stay decodable alongside it.
+// batchVersion is the frame encoding version — payloads included. A
+// receiver rejects frames speaking any other version instead of guessing.
 const batchVersion = 2
 
 // MaxFrame bounds one frame body. The largest regular protocol message is a
@@ -87,8 +75,6 @@ const MaxFrame = 1 << 20
 
 // Frame types.
 const (
-	frameMessage  byte = 1
-	frameAck      byte = 2
 	frameBatch    byte = 3
 	frameBatchAck byte = 4
 )
@@ -397,9 +383,7 @@ func readPayload(r *reader, cache *paramsCache) (gossip.Payload, error) {
 	}
 }
 
-// appendMessageBody encodes one delivery's self-delimiting message body —
-// everything after the per-frame header, shared between v1 message frames
-// and v2 batch frames.
+// appendMessageBody encodes one delivery's self-delimiting message body.
 func appendMessageBody(b []byte, to int, m runtime.Message, epoch time.Time) ([]byte, error) {
 	b = append(b, byte(m.Kind))
 	var flags byte
@@ -430,6 +414,11 @@ func readMessageBody(r *reader, epoch time.Time, cache *paramsCache) (to int, m 
 	if r.bad {
 		return 0, m, codecErr("truncated message header")
 	}
+	// Only payload traffic crosses the wire; a round-start control message
+	// from a socket would make a node act outside the coordinator's round.
+	if m.Kind == runtime.MsgRound || m.Kind > runtime.MsgReply {
+		return 0, m, codecErr("unknown message kind %d", m.Kind)
+	}
 	m.Payload, err = readPayload(r, cache)
 	if err != nil {
 		return 0, m, err
@@ -440,17 +429,18 @@ func readMessageBody(r *reader, epoch time.Time, cache *paramsCache) (to int, m 
 	return to, m, nil
 }
 
-// appendMessageFrame encodes one delivery as a full frame (length prefix
-// included) destined for node "to".
-func appendMessageFrame(b []byte, seq uint64, to int, m runtime.Message, epoch time.Time) ([]byte, error) {
-	start := len(b)
-	b = append(b, 0, 0, 0, 0) // length prefix, patched below
-	b = append(b, frameMessage, codecVersion)
+// appendBatchHeader starts a batch frame of count message bodies: a length
+// prefix for sealFrame to patch, then the frame type, version, seq and count.
+func appendBatchHeader(b []byte, seq uint64, count int) []byte {
+	b = append(b, 0, 0, 0, 0)
+	b = append(b, frameBatch, batchVersion)
 	b = binary.AppendUvarint(b, seq)
-	b, err := appendMessageBody(b, to, m, epoch)
-	if err != nil {
-		return b[:start], err
-	}
+	return binary.AppendUvarint(b, uint64(count))
+}
+
+// sealFrame patches the length prefix of the frame starting at b[start],
+// rejecting a body beyond MaxFrame.
+func sealFrame(b []byte, start int) ([]byte, error) {
 	body := len(b) - start - 4
 	if body > MaxFrame {
 		return b[:start], codecErr("frame body %d exceeds MaxFrame", body)
@@ -459,45 +449,12 @@ func appendMessageFrame(b []byte, seq uint64, to int, m runtime.Message, epoch t
 	return b, nil
 }
 
-// decodeMessage parses a message frame body (the bytes after the frame-type
-// byte).
-func decodeMessage(body []byte, epoch time.Time, cache *paramsCache) (seq uint64, to int, m runtime.Message, err error) {
-	r := &reader{b: body}
-	if v := r.byte(); v != codecVersion {
-		if r.bad {
-			return 0, 0, m, codecErr("empty message frame")
-		}
-		return 0, 0, m, codecErr("unsupported codec version %d", v)
-	}
-	seq = r.uvarint()
-	if r.bad {
-		return 0, 0, m, codecErr("truncated message frame")
-	}
-	to, m, err = readMessageBody(r, epoch, cache)
-	if err != nil {
-		return 0, 0, m, err
-	}
-	if len(r.b) != 0 {
-		return 0, 0, m, codecErr("%d trailing bytes after payload", len(r.b))
-	}
-	return seq, to, m, nil
-}
-
-// appendBatchFrame wraps count pre-encoded message bodies as one v2 batch
+// appendBatchFrame wraps count pre-encoded message bodies as one batch
 // frame (length prefix included).
 func appendBatchFrame(b []byte, seq uint64, count int, bodies []byte) ([]byte, error) {
 	start := len(b)
-	b = append(b, 0, 0, 0, 0)
-	b = append(b, frameBatch, batchVersion)
-	b = binary.AppendUvarint(b, seq)
-	b = binary.AppendUvarint(b, uint64(count))
-	b = append(b, bodies...)
-	body := len(b) - start - 4
-	if body > MaxFrame {
-		return b[:start], codecErr("batch frame body %d exceeds MaxFrame", body)
-	}
-	binary.BigEndian.PutUint32(b[start:], uint32(body))
-	return b, nil
+	b = append(appendBatchHeader(b, seq, count), bodies...)
+	return sealFrame(b, start)
 }
 
 // readBatchHeader parses a batch frame's header (the bytes after the frame-
@@ -517,6 +474,42 @@ func readBatchHeader(r *reader) (seq uint64, count int, err error) {
 		return 0, 0, codecErr("batch count %d overruns frame", n)
 	}
 	return seq, int(n), nil
+}
+
+// inbound is one decoded delivery: the destination node's index and the
+// message.
+type inbound struct {
+	to int
+	m  runtime.Message
+}
+
+// decodeBatch parses one frame body (frame-type byte included) as a batch
+// frame, appending its messages to msgs in frame order. It routes nothing,
+// so a frame that fails anywhere delivers none of its messages. Every
+// failure is an errCodec.
+func decodeBatch(body []byte, epoch time.Time, cache *paramsCache, msgs []inbound) (seq uint64, _ []inbound, err error) {
+	r := &reader{b: body}
+	if t := r.byte(); t != frameBatch {
+		if r.bad {
+			return 0, msgs, codecErr("empty frame")
+		}
+		return 0, msgs, codecErr("unknown frame type %d", t)
+	}
+	seq, count, err := readBatchHeader(r)
+	if err != nil {
+		return 0, msgs, err
+	}
+	for i := 0; i < count; i++ {
+		to, m, err := readMessageBody(r, epoch, cache)
+		if err != nil {
+			return 0, msgs, err
+		}
+		msgs = append(msgs, inbound{to: to, m: m})
+	}
+	if len(r.b) != 0 {
+		return 0, msgs, codecErr("%d trailing bytes after the last message", len(r.b))
+	}
+	return seq, msgs, nil
 }
 
 // appendBatchAckFrame encodes one batch's result bitmap as a full frame:
@@ -549,32 +542,6 @@ func bitmapGet(bits []byte, i int) bool { return bits[i/8]&(1<<(i%8)) != 0 }
 
 // bitmapSet sets bit i of an LSB-first bitmap.
 func bitmapSet(bits []byte, i int) { bits[i/8] |= 1 << (i % 8) }
-
-// appendAckFrame encodes one ack as a full frame (length prefix included).
-func appendAckFrame(b []byte, seq uint64, ok bool) []byte {
-	start := len(b)
-	b = append(b, 0, 0, 0, 0)
-	b = append(b, frameAck)
-	b = binary.AppendUvarint(b, seq)
-	if ok {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	binary.BigEndian.PutUint32(b[start:], uint32(len(b)-start-4))
-	return b
-}
-
-// decodeAck parses an ack frame body (the bytes after the frame-type byte).
-func decodeAck(body []byte) (seq uint64, ok bool, err error) {
-	r := &reader{b: body}
-	seq = r.uvarint()
-	okByte := r.byte()
-	if r.bad || len(r.b) != 0 || okByte > 1 {
-		return 0, false, codecErr("malformed ack")
-	}
-	return seq, okByte == 1, nil
-}
 
 // readFrame reads one length-prefixed frame body into *buf (grown as
 // needed), returning the body slice. A length of zero or beyond MaxFrame is

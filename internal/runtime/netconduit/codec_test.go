@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,24 +13,36 @@ import (
 	"repro/internal/runtime"
 )
 
-// roundTrip encodes one message as a frame and decodes it back through the
-// same epoch, failing the test on any mismatch.
-func roundTrip(t *testing.T, m runtime.Message, to int) runtime.Message {
+// encodeFrame encodes one message as a one-message batch frame (length
+// prefix included), failing the test on an encode error.
+func encodeFrame(t *testing.T, seq uint64, to int, m runtime.Message, epoch time.Time) []byte {
 	t.Helper()
-	epoch := time.Now()
-	frame, err := appendMessageFrame(nil, 7, to, m, epoch)
+	body, err := appendMessageBody(nil, to, m, epoch)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
+	frame, err := appendBatchFrame(nil, seq, 1, body)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	return frame
+}
+
+// roundTrip encodes one message as a batch frame and decodes it back
+// through the same epoch, failing the test on any mismatch.
+func roundTrip(t *testing.T, m runtime.Message, to int) runtime.Message {
+	t.Helper()
+	epoch := time.Now()
+	frame := encodeFrame(t, 7, to, m, epoch)
 	var cache paramsCache
-	seq, gotTo, got, err := decodeMessage(frame[5:], epoch, &cache) // skip length prefix + frame type
+	seq, msgs, err := decodeBatch(frame[4:], epoch, &cache, nil) // skip the length prefix
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if seq != 7 || gotTo != to {
-		t.Fatalf("seq/to = %d/%d, want 7/%d", seq, gotTo, to)
+	if seq != 7 || len(msgs) != 1 || msgs[0].to != to {
+		t.Fatalf("seq/count/to = %d/%d/%v, want 7/1/%d", seq, len(msgs), msgs, to)
 	}
-	return got
+	return msgs[0].m
 }
 
 func testParams(t *testing.T) core.Params {
@@ -115,16 +128,13 @@ func TestCodecSentAtTicks(t *testing.T) {
 	}
 	epoch := time.Now()
 	m.SentAt = epoch.Add(1500 * time.Microsecond)
-	frame, err := appendMessageFrame(nil, 1, 1, m, epoch)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame := encodeFrame(t, 1, 1, m, epoch)
 	var cache paramsCache
-	_, _, got, err := decodeMessage(frame[5:], epoch, &cache)
+	_, msgs, err := decodeBatch(frame[4:], epoch, &cache, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := got.SentAt.Sub(m.SentAt); d != 0 {
+	if d := msgs[0].m.SentAt.Sub(m.SentAt); d != 0 {
 		t.Fatalf("SentAt drifted %v across the wire", d)
 	}
 }
@@ -157,70 +167,94 @@ func TestCodecParamsCache(t *testing.T) {
 	}
 }
 
-// TestCodecAckRoundTrip covers both ack polarities.
-func TestCodecAckRoundTrip(t *testing.T) {
-	for _, ok := range []bool{true, false} {
-		frame := appendAckFrame(nil, 42, ok)
-		seq, got, err := decodeAck(frame[5:])
-		if err != nil || seq != 42 || got != ok {
-			t.Fatalf("ack(%v) round trip: seq=%d ok=%v err=%v", ok, seq, got, err)
-		}
-	}
-}
-
-// TestCodecRejectsMalformed walks the garbage taxonomy: every malformed body
-// must come back as a codec error, never a panic or a silent success.
+// TestCodecRejectsMalformed walks the garbage taxonomy: every malformed
+// frame body must come back as a codec error for its own reason, never a
+// panic or a silent success.
 func TestCodecRejectsMalformed(t *testing.T) {
 	p := testParams(t)
-	good, err := appendMessageFrame(nil, 1, 2, runtime.Message{
+	good := encodeFrame(t, 1, 2, runtime.Message{
 		Kind: runtime.MsgPush, Round: 3, From: 1,
 		Payload: core.Vote{P: p, Value: 5},
 	}, time.Now())
-	if err != nil {
-		t.Fatal(err)
+	body := good[4:] // strip the length prefix
+	// The 9-byte header (type, version, seq, count, kind, flags, round, from,
+	// to — all single bytes here) precedes the payload tag.
+	const hdr = 9
+	with := func(i int, v byte) []byte {
+		b := append([]byte{}, body...)
+		b[i] = v
+		return b
 	}
-	body := good[5:] // strip length prefix + frame type
 
-	cases := map[string][]byte{
-		"empty":            {},
-		"bad version":      append([]byte{99}, body[1:]...),
-		"truncated header": body[:2],
-		"truncated params": body[:len(body)-6],
-		"trailing bytes":   append(append([]byte{}, body...), 0xAA),
-		// The 7-byte header (version, seq, kind, flags, round, from, to — all
-		// single-byte varints here) followed by a tag outside the payload set.
-		"bad payload tag": append(append([]byte{}, body[:7]...), 0x7F),
+	cases := []struct {
+		name, reason string
+		body         []byte
+	}{
+		{"empty", "empty frame", []byte{}},
+		{"v1 message frame", "unknown frame type 1", with(0, 1)},
+		{"v1 ack frame", "unknown frame type 2", with(0, 2)},
+		{"bad version", "unsupported batch version 99", with(1, 99)},
+		{"zero count", "batch count 0", with(3, 0)},
+		{"count beyond frame", "batch count 100 overruns", with(3, 100)},
+		{"count beyond bodies", "truncated message header", with(3, 2)},
+		{"round-start kind", "unknown message kind 0", with(4, byte(runtime.MsgRound))},
+		{"unknown kind", "unknown message kind 9", with(4, 9)},
+		{"truncated header", "truncated message header", body[:7]},
+		{"truncated params", "truncated params", body[:len(body)-6]},
+		{"trailing bytes", "trailing bytes", append(append([]byte{}, body...), 0xAA)},
+		{"bad payload tag", "unknown payload tag 127", append(append([]byte{}, body[:hdr]...), 0x7F)},
 	}
-	for name, b := range cases {
+	for _, tc := range cases {
 		var cache paramsCache
-		if _, _, _, err := decodeMessage(b, time.Now(), &cache); !errors.Is(err, errCodec) {
-			t.Errorf("%s: err = %v, want a codec error", name, err)
+		_, _, err := decodeBatch(tc.body, time.Now(), &cache, nil)
+		if !errors.Is(err, errCodec) || !strings.Contains(err.Error(), tc.reason) {
+			t.Errorf("%s: err = %v, want a codec error for %q", tc.name, err, tc.reason)
 		}
 	}
-	if _, _, err := decodeAck([]byte{0x01}); !errors.Is(err, errCodec) {
-		t.Errorf("truncated ack: err = %v", err)
+	if _, _, _, err := decodeBatchAck([]byte{0x01}); !errors.Is(err, errCodec) {
+		t.Errorf("truncated batch ack: err = %v", err)
 	}
-	if _, _, err := decodeAck([]byte{0x01, 0x05}); !errors.Is(err, errCodec) {
-		t.Errorf("ack with ok byte 5: err = %v", err)
+	if _, _, _, err := decodeBatchAck([]byte{0x01, 0x09, 0xFF}); !errors.Is(err, errCodec) {
+		t.Errorf("batch ack with a short bitmap: err = %v", err)
 	}
 }
 
-// TestCodecRejectsHugeCounts pins the allocation guard: a garbage list count
-// larger than the frame's remaining bytes is rejected before any allocation
-// of that size.
+// TestCodecRejectsHugeCounts pins the allocation guards: a garbage count
+// larger than the frame's remaining bytes — of the batch's messages, or of
+// a payload's list — is rejected before any allocation of that size.
 func TestCodecRejectsHugeCounts(t *testing.T) {
 	p := testParams(t)
-	// Hand-build an intentions payload claiming 2^40 votes in a tiny frame.
-	pb, err := appendParams([]byte{codecVersion, 1 /*seq*/, byte(runtime.MsgReply), 0 /*flags*/, 1, 1, 1}, p)
+	huge := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01} // uvarint 2^56
+
+	// A batch frame claiming 2^56 messages.
+	batch := append([]byte{frameBatch, batchVersion, 1 /*seq*/}, huge...)
+	// A one-message batch whose intentions payload claims 2^56 votes.
+	intents := []byte{frameBatch, batchVersion, 1 /*seq*/, 1 /*count*/, byte(runtime.MsgReply), 0 /*flags*/, 1, 1, 1, payIntentions}
+	intents, err := appendParams(intents, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Splice the payload tag in front of the params block we appended.
-	msg := append(pb[:7], append([]byte{payIntentions}, pb[7:]...)...)
-	msg = append(msg, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01) // uvarint 2^56
-	var cache paramsCache
-	if _, _, _, err := decodeMessage(msg, time.Now(), &cache); !errors.Is(err, errCodec) {
-		t.Fatalf("err = %v, want a codec error", err)
+	intents = append(intents, huge...)
+	// The same claim as a certificate's vote count (K, then the count).
+	cert := []byte{frameBatch, batchVersion, 1, 1, byte(runtime.MsgReply), 0, 1, 1, 1, payCertificate}
+	if cert, err = appendParams(cert, p); err != nil {
+		t.Fatal(err)
+	}
+	cert = append(append(cert, 7 /*K*/), huge...)
+
+	for _, tc := range []struct {
+		name, reason string
+		body         []byte
+	}{
+		{"batch count", "batch count 72057594037927936 overruns", batch},
+		{"intentions count", "intentions count 72057594037927936 overruns", intents},
+		{"certificate count", "certificate vote count 72057594037927936 overruns", cert},
+	} {
+		var cache paramsCache
+		_, _, err := decodeBatch(tc.body, time.Now(), &cache, nil)
+		if !errors.Is(err, errCodec) || !strings.Contains(err.Error(), tc.reason) {
+			t.Errorf("%s: err = %v, want a codec error for %q", tc.name, err, tc.reason)
+		}
 	}
 }
 

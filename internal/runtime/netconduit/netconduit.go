@@ -14,10 +14,11 @@ import (
 	"repro/internal/runtime"
 )
 
-// Dial/retry tuning. A Deliver makes at most maxAttempts passes over the
-// dial-write sequence, sleeping a doubling backoff (capped at maxBackoff)
+// Dial/retry tuning. Sending a frame makes at most maxAttempts passes over
+// the dial-write sequence, sleeping a doubling backoff (capped at maxBackoff)
 // after each failed dial, so a dead peer costs a bounded ~100ms before the
-// delivery is reported lost instead of wedging the coordinator forever.
+// frame's deliveries are reported lost instead of wedging the coordinator
+// forever.
 const (
 	maxAttempts    = 6
 	initialBackoff = time.Millisecond
@@ -25,10 +26,11 @@ const (
 )
 
 // SocketConduit is a runtime.Conduit whose deliveries cross a real OS
-// socket. It is both halves of the transport: a listener that routes inbound
-// message frames into the destination node's mailbox and answers with an ack
-// frame, and a per-peer set of outbound connections (lazily dialed,
-// reconnected with bounded backoff) that Deliver writes message frames to.
+// socket. It is both halves of the transport: a listener that routes the
+// messages of inbound batch frames into their destination nodes' mailboxes
+// and answers each frame with a bitmap ack, and a per-peer set of outbound
+// connections (lazily dialed, reconnected with bounded backoff) that batches
+// and Deliver write frames to.
 //
 // With the default routing every node is hosted behind the conduit's own
 // listener — the single-process loopback configuration the transcript-
@@ -57,6 +59,13 @@ type SocketConduit struct {
 	mu    sync.Mutex
 	peers map[string]*peer
 	conns map[net.Conn]struct{} // accepted inbound connections
+
+	// freeW holds settled waiters for reuse by Deliver and by batches. It is
+	// a plain slice, not a sync.Pool: a pool may drop its items at any time
+	// (at random under the race detector), and every drop would cost the
+	// steady-state Deliver path an allocation.
+	freeMu sync.Mutex
+	freeW  []*batchWaiter
 
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -126,11 +135,10 @@ func (c *SocketConduit) Route(id int, network, addr string) {
 	c.peerCache.Delete(id)
 }
 
-// Deliver implements runtime.Conduit: encode the message, write it to the
-// peer hosting dst (dialing or re-dialing as needed), and wait for the ack
-// that says dst's mailbox accepted it. False means the message did not
-// survive transport — encode-to-mailbox — and the scheduler applies its loss
-// semantics.
+// Deliver implements runtime.Conduit: encode the message as a one-message
+// batch frame, write it to the peer hosting dst (dialing or re-dialing as
+// needed), and wait for the ack that says dst's mailbox accepted it. False
+// means the message did not survive transport — encode-to-mailbox.
 func (c *SocketConduit) Deliver(dst *runtime.Node, m runtime.Message) bool {
 	select {
 	case <-c.closed:
@@ -138,7 +146,50 @@ func (c *SocketConduit) Deliver(dst *runtime.Node, m runtime.Message) bool {
 	default:
 	}
 	c.register(dst)
-	return c.peerFor(dst.ID()).deliver(dst.ID(), m)
+	p := c.peerFor(dst.ID())
+	w := c.getWaiter()
+	defer c.putWaiter(w)
+	seq := p.seq.Add(1)
+	frame, err := appendMessageBody(appendBatchHeader(w.frame[:0], seq, 1), dst.ID(), m, c.epoch)
+	if err == nil {
+		frame, err = sealFrame(frame, 0)
+	}
+	if err != nil {
+		// Only a payload type outside the protocol's set gets here: a
+		// programming error, not a transport condition. Fail loudly instead
+		// of folding it into the loss model.
+		panic(fmt.Sprintf("netconduit: %v", err))
+	}
+	w.frame = frame
+	if !p.send(seq, frame, w) {
+		return false
+	}
+	<-w.done
+	return w.ok && bitmapGet(w.bits, 0)
+}
+
+// getWaiter recycles a settled waiter or makes a fresh one.
+func (c *SocketConduit) getWaiter() *batchWaiter {
+	c.freeMu.Lock()
+	k := len(c.freeW)
+	if k == 0 {
+		c.freeMu.Unlock()
+		return &batchWaiter{done: make(chan struct{}, 1)}
+	}
+	w := c.freeW[k-1]
+	c.freeW = c.freeW[:k-1]
+	c.freeMu.Unlock()
+	w.ok = false
+	w.idxs = w.idxs[:0]
+	return w
+}
+
+// putWaiter returns a settled waiter — one whose done signal has been
+// received, or that was never sent — to the free list.
+func (c *SocketConduit) putWaiter(w *batchWaiter) {
+	c.freeMu.Lock()
+	c.freeW = append(c.freeW, w)
+	c.freeMu.Unlock()
 }
 
 // register lazily records dst as locally hosted. Load-then-store: on the
@@ -242,17 +293,18 @@ func (c *SocketConduit) dropConn(conn net.Conn) {
 	c.mu.Unlock()
 }
 
-// serve is the inbound half of the round trip: read frames, route each
-// message into the destination node's mailbox, ack with the Send result — a
-// v1 message frame gets its own ack, a v2 batch frame is decoded streaming
-// (each body Sent in order, preserving per-destination FIFO) and answered
-// with one batched bitmap ack. Any malformed frame is connection-fatal — the
-// peer's pending deliveries fail as losses and the conduit stays up for the
-// next connection — so garbage on the wire can never wedge the coordinator.
+// serve is the inbound half of the round trip: read batch frames, decode
+// each one whole, route its messages into their destination nodes'
+// mailboxes in frame order (preserving per-destination FIFO), and answer
+// with one bitmap ack of the Send results. Any malformed frame is
+// connection-fatal and delivers nothing — the peer's pending deliveries fail
+// as losses and the conduit stays up for the next connection — so garbage on
+// the wire can never wedge the coordinator.
 func (c *SocketConduit) serve(conn net.Conn) {
 	defer c.wg.Done()
 	defer c.dropConn(conn)
 	var buf, out, bits []byte
+	var msgs []inbound
 	var cache paramsCache
 	for {
 		body, err := readFrame(conn, &buf)
@@ -262,48 +314,25 @@ func (c *SocketConduit) serve(conn net.Conn) {
 			}
 			return
 		}
-		switch body[0] {
-		case frameMessage:
-			seq, to, m, err := decodeMessage(body[1:], c.epoch, &cache)
-			if err != nil {
-				c.rejects.Add(1)
-				return
-			}
-			node := c.node(to)
-			ok := node != nil && node.Send(m)
-			out = appendAckFrame(out[:0], seq, ok)
-		case frameBatch:
-			r := &reader{b: body[1:]}
-			seq, count, err := readBatchHeader(r)
-			if err != nil {
-				c.rejects.Add(1)
-				return
-			}
-			need := (count + 7) / 8
-			if cap(bits) < need {
-				bits = make([]byte, need)
-			}
-			bits = bits[:need]
-			clear(bits)
-			for i := 0; i < count; i++ {
-				to, m, err := readMessageBody(r, c.epoch, &cache)
-				if err != nil {
-					c.rejects.Add(1)
-					return
-				}
-				if node := c.node(to); node != nil && node.Send(m) {
-					bitmapSet(bits, i)
-				}
-			}
-			if len(r.b) != 0 {
-				c.rejects.Add(1)
-				return
-			}
-			out = appendBatchAckFrame(out[:0], seq, bits, count)
-		default:
+		var seq uint64
+		seq, msgs, err = decodeBatch(body, c.epoch, &cache, msgs[:0])
+		if err != nil {
 			c.rejects.Add(1)
 			return
 		}
+		need := (len(msgs) + 7) / 8
+		if cap(bits) < need {
+			bits = make([]byte, need)
+		}
+		bits = bits[:need]
+		clear(bits)
+		for i := range msgs {
+			if node := c.node(msgs[i].to); node != nil && node.Send(msgs[i].m) {
+				bitmapSet(bits, i)
+			}
+		}
+		out = appendBatchAckFrame(out[:0], seq, bits, len(msgs))
+		clear(msgs) // drop payload references until the next frame
 		if _, err := conn.Write(out); err != nil {
 			return
 		}
@@ -323,89 +352,48 @@ type peer struct {
 	redialed bool // a connection died; the next successful dial is a reconnect
 }
 
-// peerConn is one live outbound connection. Pending acks — single and
-// batched — are per-connection: when the connection dies, exactly the
-// deliveries written to it fail — a retry on a fresh connection starts a
-// fresh table.
+// peerConn is one live outbound connection. Pending acks are
+// per-connection: when the connection dies, exactly the frames written to it
+// fail — a retry on a fresh connection starts a fresh table.
 type peerConn struct {
 	conn net.Conn
 
 	wmu sync.Mutex // serializes frame writes
 
-	pmu          sync.Mutex
-	pending      map[uint64]chan bool
-	pendingBatch map[uint64]*batchWaiter
-	dead         bool
+	pmu     sync.Mutex
+	waiters map[uint64]*batchWaiter
+	dead    bool
 }
 
 // batchWaiter is one in-flight batch frame's completion slot: resolved by
 // the ack reader (ok plus the result bitmap, copied into waiter-owned
-// storage) or failed by connection death, then signalled on done. The
-// dispatching socketBatch owns it again once it has received done, so
-// waiters recycle across flushes without a pool.
+// storage) or failed by connection death, then signalled on done. Whoever
+// sent the frame owns the waiter again once it has received done, so waiters
+// recycle through the conduit's free list.
 type batchWaiter struct {
-	done chan struct{} // cap 1
-	ok   bool          // an ack bitmap came back; false = frame lost whole
-	bits []byte
-	idxs []int32 // the frame's messages as indices into the wave's results
+	done  chan struct{} // cap 1
+	ok    bool          // an ack bitmap came back; false = frame lost whole
+	bits  []byte
+	idxs  []int32 // the frame's messages as indices into the wave's results
+	frame []byte  // Deliver's frame-encode scratch
 }
 
-func (pc *peerConn) register(seq uint64, ch chan bool) {
-	// Reset a pooled channel: a stale buffered result would corrupt this
-	// registration's ack.
-	select {
-	case <-ch:
-	default:
-	}
+// register parks a waiter under seq; false means the connection is already
+// dead and the caller should re-dial.
+func (pc *peerConn) register(seq uint64, w *batchWaiter) bool {
 	pc.pmu.Lock()
+	defer pc.pmu.Unlock()
 	if pc.dead {
-		pc.pmu.Unlock()
-		ch <- false
-		return
-	}
-	pc.pending[seq] = ch
-	pc.pmu.Unlock()
-}
-
-func (pc *peerConn) unregister(seq uint64) {
-	pc.pmu.Lock()
-	delete(pc.pending, seq)
-	pc.pmu.Unlock()
-}
-
-func (pc *peerConn) resolve(seq uint64, ok bool) {
-	pc.pmu.Lock()
-	ch, found := pc.pending[seq]
-	delete(pc.pending, seq)
-	pc.pmu.Unlock()
-	if found {
-		ch <- ok
-	}
-}
-
-// registerBatch parks a batch waiter under seq; false means the connection
-// is already dead and the caller should fail or re-dial.
-func (pc *peerConn) registerBatch(seq uint64, w *batchWaiter) bool {
-	pc.pmu.Lock()
-	if pc.dead {
-		pc.pmu.Unlock()
 		return false
 	}
-	pc.pendingBatch[seq] = w
-	pc.pmu.Unlock()
+	pc.waiters[seq] = w
 	return true
 }
 
-func (pc *peerConn) unregisterBatch(seq uint64) {
+func (pc *peerConn) resolve(seq uint64, bits []byte) {
 	pc.pmu.Lock()
-	delete(pc.pendingBatch, seq)
-	pc.pmu.Unlock()
-}
-
-func (pc *peerConn) resolveBatch(seq uint64, bits []byte) {
-	pc.pmu.Lock()
-	w, found := pc.pendingBatch[seq]
-	delete(pc.pendingBatch, seq)
+	w, found := pc.waiters[seq]
+	delete(pc.waiters, seq)
 	pc.pmu.Unlock()
 	if found {
 		w.bits = append(w.bits[:0], bits...)
@@ -414,22 +402,16 @@ func (pc *peerConn) resolveBatch(seq uint64, bits []byte) {
 	}
 }
 
-// failAll resolves every pending delivery — single and batched — as lost;
-// later registers fail immediately. A partially-acked window fails exactly
-// its unacked remainder: frames the reader already resolved are gone from
-// the table.
+// failAll resolves every pending frame as lost; later registers fail
+// immediately. A partially-acked window fails exactly its unacked remainder:
+// frames the reader already resolved are gone from the table.
 func (pc *peerConn) failAll() {
 	pc.pmu.Lock()
-	pending := pc.pending
-	batches := pc.pendingBatch
-	pc.pending = nil
-	pc.pendingBatch = nil
+	waiters := pc.waiters
+	pc.waiters = nil
 	pc.dead = true
 	pc.pmu.Unlock()
-	for _, ch := range pending {
-		ch <- false
-	}
-	for _, w := range batches {
+	for _, w := range waiters {
 		w.ok = false
 		w.done <- struct{}{}
 	}
@@ -442,46 +424,16 @@ func (pc *peerConn) write(frame []byte) error {
 	return err
 }
 
-// bufPool recycles frame-encode buffers and ackChanPool the single-delivery
-// ack channels, keeping the steady-state Deliver path allocation-free.
-var (
-	bufPool = sync.Pool{New: func() any {
-		b := make([]byte, 0, 512)
-		return &b
-	}}
-	ackChanPool = sync.Pool{New: func() any { return make(chan bool, 1) }}
-)
-
-// putAckChan drains and returns an ack channel to the pool. The drain covers
-// a resolve that won the race with the waiter's exit path — the buffered
-// result belongs to a registration that no longer exists.
-func putAckChan(ch chan bool) {
-	select {
-	case <-ch:
-	default:
-	}
-	ackChanPool.Put(ch)
-}
-
-// deliver runs one message through the write-then-ack round trip, re-dialing
-// with bounded backoff when the connection is down or dies under the write.
-// A failure after the write succeeded is not retried: the message may have
-// reached the mailbox, and at-most-once is the loss semantics the scheduler
-// expects.
-func (p *peer) deliver(to int, m runtime.Message) bool {
-	seq := p.seq.Add(1)
-	bp := bufPool.Get().(*[]byte)
-	defer bufPool.Put(bp)
-	frame, err := appendMessageFrame((*bp)[:0], seq, to, m, p.c.epoch)
-	if err != nil {
-		// Only a payload type outside the protocol's set gets here: a
-		// programming error, not a transport condition. Fail loudly instead
-		// of folding it into the loss model.
-		panic(fmt.Sprintf("netconduit: %v", err))
-	}
-	*bp = frame
-	ch := ackChanPool.Get().(chan bool)
-	defer putAckChan(ch)
+// send writes one sealed frame with w registered under seq, dialing (or
+// re-dialing a dead connection) with bounded backoff. True means w is
+// registered on a connection, whose ack or death will resolve it; false
+// means the frame never reached a connection and w is untouched. A frame is
+// never re-written after a write error: frames already in flight on the
+// dying connection could still be processed, and a rewrite on a fresh
+// connection would overtake them and break per-destination FIFO order — so
+// its deliveries fail as transport losses instead (at-most-once, the
+// scheduler's loss semantics).
+func (p *peer) send(seq uint64, frame []byte, w *batchWaiter) bool {
 	backoff := initialBackoff
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		select {
@@ -501,19 +453,13 @@ func (p *peer) deliver(to int, m runtime.Message) bool {
 			}
 			continue
 		}
-		pc.register(seq, ch)
+		if !pc.register(seq, w) {
+			continue // died under us; the next attempt re-dials
+		}
 		if err := pc.write(frame); err != nil {
-			pc.unregister(seq)
-			p.kill(pc)
-			continue
+			p.kill(pc) // fails w with everything else pending on pc
 		}
-		select {
-		case ok := <-ch:
-			return ok
-		case <-p.c.closed:
-			pc.unregister(seq)
-			return false
-		}
+		return true
 	}
 	return false
 }
@@ -534,11 +480,7 @@ func (p *peer) ensureConn() (*peerConn, error) {
 		p.redialed = false
 		p.c.reconnects.Add(1)
 	}
-	pc := &peerConn{
-		conn:         conn,
-		pending:      make(map[uint64]chan bool),
-		pendingBatch: make(map[uint64]*batchWaiter),
-	}
+	pc := &peerConn{conn: conn, waiters: make(map[uint64]*batchWaiter)}
 	p.pc = pc
 	p.c.wg.Add(1)
 	go p.readAcks(pc)
@@ -575,13 +517,12 @@ func (p *peer) closeConn() {
 // approaches MaxFrame and the server's decode stays cache-friendly.
 const defaultBatchBytes = 32 << 10
 
-// NewBatch implements runtime.BatchConduit: deliveries staged through the
-// returned batch coalesce per peer into v2 multi-message frames — one write
-// and one batched bitmap ack per frame instead of a synchronous round trip
-// per message — with a window of in-flight frames per peer that Flush
-// settles at the round barrier. The batch is owned by one goroutine (the
-// coordinator); the conduit's Deliver stays independently usable between
-// flushes.
+// NewBatch implements runtime.Conduit: deliveries staged through the
+// returned batch coalesce per peer into multi-message frames — one write and
+// one bitmap ack per frame instead of a round trip per message — with a
+// window of in-flight frames per peer that Flush settles at the round
+// barrier. The batch is owned by one goroutine (the coordinator); the
+// conduit's Deliver stays independently usable alongside it.
 func (c *SocketConduit) NewBatch() runtime.Batch {
 	return &socketBatch{c: c, stages: make(map[*peer]*peerStage)}
 }
@@ -594,7 +535,6 @@ type socketBatch struct {
 	stages   map[*peer]*peerStage
 	active   []*peerStage   // stages holding bodies, in first-Add order
 	inflight []*batchWaiter // dispatched frames, in dispatch order
-	freeW    []*batchWaiter // settled waiters, recycled across flushes
 	results  []bool
 	frame    []byte // frame assembly scratch, reused per dispatch
 	n        int    // deliveries Added since the last Flush
@@ -630,7 +570,7 @@ func (b *socketBatch) Add(dst *runtime.Node, m runtime.Message) {
 	buf, err := appendMessageBody(st.buf, id, m, b.c.epoch)
 	if err != nil {
 		st.buf = st.buf[:start]
-		// Same contract as deliver: an unencodable payload is a programming
+		// Same contract as Deliver: an unencodable payload is a programming
 		// error, not a transport condition.
 		panic(fmt.Sprintf("netconduit: %v", err))
 	}
@@ -671,24 +611,12 @@ func (b *socketBatch) Flush() []bool {
 				}
 			}
 		}
-		b.freeW = append(b.freeW, w)
+		b.c.putWaiter(w)
 	}
 	b.inflight = b.inflight[:0]
 	b.results = results
 	b.n = 0
 	return results
-}
-
-// getWaiter recycles a settled waiter or makes a fresh one.
-func (b *socketBatch) getWaiter() *batchWaiter {
-	if k := len(b.freeW); k > 0 {
-		w := b.freeW[k-1]
-		b.freeW = b.freeW[:k-1]
-		w.ok = false
-		w.idxs = w.idxs[:0]
-		return w
-	}
-	return &batchWaiter{done: make(chan struct{}, 1)}
 }
 
 // fail settles a waiter locally: the frame never made it out.
@@ -697,93 +625,41 @@ func (b *socketBatch) fail(w *batchWaiter) {
 	w.done <- struct{}{}
 }
 
-// dispatch seals one stage into a batch frame and writes it, leaving its
-// waiter in flight for Flush to settle. The dial gets the same bounded
-// backoff as a single delivery, but a frame is never re-written after a
-// write error: in-flight frames on the dying connection could still be
-// processed, and a rewrite on a fresh connection would overtake them and
-// break per-destination FIFO order — so the frame's deliveries fail as
-// transport losses instead (at-most-once, the scheduler's loss semantics).
+// dispatch seals one stage into a batch frame and sends it, leaving its
+// waiter in flight for Flush to settle.
 func (b *socketBatch) dispatch(st *peerStage) {
-	w := b.getWaiter()
+	w := b.c.getWaiter()
 	w.idxs = append(w.idxs, st.idxs...)
 	b.inflight = append(b.inflight, w)
-	count := len(st.idxs)
 	p := st.p
 	seq := p.seq.Add(1)
-	frame, err := appendBatchFrame(b.frame[:0], seq, count, st.buf)
-	b.frame = frame[:0]
+	frame, err := appendBatchFrame(b.frame[:0], seq, len(st.idxs), st.buf)
+	b.frame = frame
 	st.buf = st.buf[:0]
 	st.idxs = st.idxs[:0]
-	if err != nil {
-		// Oversized frame: unreachable below the staging threshold, but fail
-		// as losses rather than wedge the round.
+	// An oversized frame is unreachable below the staging threshold, but it
+	// fails as losses rather than wedge the round.
+	if err != nil || !p.send(seq, frame, w) {
 		b.fail(w)
-		return
 	}
-	backoff := initialBackoff
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		select {
-		case <-b.c.closed:
-			b.fail(w)
-			return
-		default:
-		}
-		pc, err := p.ensureConn()
-		if err != nil {
-			select {
-			case <-b.c.closed:
-				b.fail(w)
-				return
-			case <-time.After(backoff):
-			}
-			if backoff *= 2; backoff > maxBackoff {
-				backoff = maxBackoff
-			}
-			continue
-		}
-		if !pc.registerBatch(seq, w) {
-			continue // died under us; the next attempt re-dials
-		}
-		if err := pc.write(frame); err != nil {
-			pc.unregisterBatch(seq)
-			p.kill(pc)
-			b.fail(w)
-			return
-		}
-		return // in flight; Flush settles it
-	}
-	b.fail(w)
 }
 
-// readAcks drains one connection's ack stream — single acks and batch
-// bitmaps — resolving pending deliveries, until the connection dies — then
-// retires it so in-flight deliveries fail and the next one reconnects.
+// readAcks drains one connection's bitmap acks, resolving pending frames,
+// until the connection dies or speaks anything else — then retires it so
+// in-flight frames fail and the next send reconnects.
 func (p *peer) readAcks(pc *peerConn) {
 	defer p.c.wg.Done()
 	var buf []byte
-loop:
 	for {
 		body, err := readFrame(pc.conn, &buf)
+		if err != nil || body[0] != frameBatchAck {
+			break
+		}
+		seq, bits, _, err := decodeBatchAck(body[1:])
 		if err != nil {
 			break
 		}
-		switch body[0] {
-		case frameAck:
-			seq, ok, err := decodeAck(body[1:])
-			if err != nil {
-				break loop
-			}
-			pc.resolve(seq, ok)
-		case frameBatchAck:
-			seq, bits, _, err := decodeBatchAck(body[1:])
-			if err != nil {
-				break loop
-			}
-			pc.resolveBatch(seq, bits)
-		default:
-			break loop
-		}
+		pc.resolve(seq, bits)
 	}
 	p.kill(pc)
 }

@@ -146,15 +146,30 @@ func TestReconnectAfterConnKilled(t *testing.T) {
 	}
 }
 
+// garbageFrames are malformed wire inputs, length prefix included; each must
+// be rejected as a whole.
+var garbageFrames = [][]byte{
+	{0xFF, 0xFF, 0xFF, 0xFF},                           // length prefix beyond MaxFrame
+	{0, 0, 0, 3, 9, 9, 9},                              // unknown frame type 9
+	{0, 0, 0, 4, 1, 1, 1, 0},                           // v1 message frame: type 1 is unknown
+	{0, 0, 0, 3, 2, 1, 1},                              // v1 ack frame: type 2 is unknown
+	{0, 0, 0, 10, frameBatch, batchVersion},            // body truncated by half-close
+	{0, 0, 0, 2, frameBatch, 99},                       // batch frame, batch version 99
+	{0, 0, 0, 4, frameBatch, batchVersion, 1, 0},       // batch of zero messages
+	{0, 0, 0, 5, frameBatch, batchVersion, 1, 9, 0},    // count 9 overruns the frame
+	{0, 0, 0, 6, frameBatch, batchVersion, 1, 1, 3, 0}, // message body truncated mid-header
+}
+
 // closeWriter is the half-close both net.TCPConn and net.UnixConn provide —
 // it lets a test send a truncated frame and still observe the server's
 // reaction on the read side.
 type closeWriter interface{ CloseWrite() error }
 
 // TestGarbageFramesRejected walks raw garbage into the listener — oversized
-// length prefix, unknown frame type, unsupported codec version, truncated
-// body — and pins that each one is connection-fatal (the writer sees EOF),
-// counted as a reject, and leaves the conduit fully usable.
+// length prefix, unknown frame types (the retired v1 message and ack frames
+// among them), unsupported batch version, truncated body — and pins that
+// each one is connection-fatal (the writer sees EOF), counted as a reject,
+// and leaves the conduit fully usable.
 func TestGarbageFramesRejected(t *testing.T) {
 	for _, network := range networks {
 		t.Run(network, func(t *testing.T) {
@@ -163,16 +178,7 @@ func TestGarbageFramesRejected(t *testing.T) {
 			c := listen(t, network)
 			defer c.Close()
 			addr := c.Addr()
-			cases := [][]byte{
-				{0xFF, 0xFF, 0xFF, 0xFF},       // length prefix beyond MaxFrame
-				{0, 0, 0, 3, 9, 9, 9},          // unknown frame type 9
-				{0, 0, 0, 2, frameMessage, 99}, // message frame, codec version 99
-				{0, 0, 0, 10, frameMessage, 2}, // body truncated by half-close
-				{0, 0, 0, 2, frameBatch, 99},   // batch frame, batch version 99
-				{0, 0, 0, 4, frameBatch, batchVersion, 1, 0}, // batch of zero messages
-				{0, 0, 0, 5, frameBatch, batchVersion, 1, 9, 0}, // count 9 overruns the frame
-				{0, 0, 0, 6, frameBatch, batchVersion, 1, 1, 3, 0}, // message body truncated mid-header
-			}
+			cases := garbageFrames
 			for i, frame := range cases {
 				conn, err := net.Dial(addr.Network(), addr.String())
 				if err != nil {
@@ -332,95 +338,6 @@ func TestDeliverSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// v1OnlyListener emulates a PR 9 peer that predates the v2 batch frame: it
-// serves single message frames correctly and treats any other frame type —
-// including frameBatch — as connection-fatal garbage, exactly what the old
-// serve loop did.
-func v1OnlyListener(t *testing.T) net.Listener {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				var buf, out []byte
-				var cache paramsCache
-				epoch := time.Now()
-				for {
-					body, err := readFrame(conn, &buf)
-					if err != nil || body[0] != frameMessage {
-						return
-					}
-					seq, _, _, err := decodeMessage(body[1:], epoch, &cache)
-					if err != nil {
-						return
-					}
-					out = appendAckFrame(out[:0], seq, true)
-					if _, err := conn.Write(out); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-	return ln
-}
-
-// TestMixedVersionPeerFailsClosed pins the cross-version contract: a v2
-// sender flushing a batch at a v1-only reader fails closed — the reader
-// drops the connection, every delivery in the window is reported lost, and
-// the conduit stays live (v1 single-message frames still get through, and
-// the next batch to a v2 peer works untouched).
-func TestMixedVersionPeerFailsClosed(t *testing.T) {
-	rt, p := testRuntime(t, 32, 9)
-	defer rt.Shutdown()
-	old := v1OnlyListener(t)
-	defer old.Close()
-	c := listen(t, "tcp")
-	defer c.Close()
-	c.Route(7, "tcp", old.Addr().String())
-
-	// The v1 rung still interoperates: a single Deliver speaks frame v1.
-	if !c.Deliver(rt.Node(7), voteMsg(p)) {
-		t.Fatal("v1 single-message delivery to the old peer failed")
-	}
-	// A batch at the old peer must fail whole — no partial acks, no hang.
-	b := c.NewBatch()
-	const k = 5
-	for i := 0; i < k; i++ {
-		b.Add(rt.Node(7), voteMsg(p))
-	}
-	oks := b.Flush()
-	if len(oks) != k {
-		t.Fatalf("flush returned %d results, want %d", len(oks), k)
-	}
-	for i, ok := range oks {
-		if ok {
-			t.Fatalf("delivery %d to a v1-only reader reported success", i)
-		}
-	}
-	// The conduit is still live on both rungs: batches to a v2 peer work,
-	// and the old peer is reachable again over v1 after a re-dial.
-	for i := 0; i < 3; i++ {
-		b.Add(rt.Node(i), voteMsg(p))
-	}
-	for i, ok := range b.Flush() {
-		if !ok {
-			t.Fatalf("loopback batch delivery %d failed after the v1 rejection", i)
-		}
-	}
-	if !c.Deliver(rt.Node(7), voteMsg(p)) {
-		t.Fatal("v1 delivery after the batch rejection failed to re-dial")
-	}
-}
-
 // batchAckingListener acks complete batch frames until ackFrames have been
 // answered, then kills the connection on the next frame — the window-death
 // fixture.
@@ -508,9 +425,9 @@ func TestBatchWindowConnDeath(t *testing.T) {
 }
 
 // TestConcurrentDeliverDuringBatch runs single Delivers and batch flushes
-// against one conduit at once under the race detector: the two pending
-// tables share a connection and its ack stream, and every completion must
-// find its own waiter.
+// against one conduit at once under the race detector: both share a
+// connection, its ack stream and the waiter free list, and every completion
+// must find its own waiter.
 func TestConcurrentDeliverDuringBatch(t *testing.T) {
 	for _, network := range networks {
 		t.Run(network, func(t *testing.T) {

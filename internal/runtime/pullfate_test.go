@@ -148,7 +148,6 @@ func TestPullFatesAtHeavyLoss(t *testing.T) {
 		conduit func(t *testing.T) runtime.Conduit
 	}{
 		{"channel", func(*testing.T) runtime.Conduit { return runtime.ChannelConduit{} }},
-		{"serial", func(*testing.T) runtime.Conduit { return serialConduit{runtime.ChannelConduit{}} }},
 		{"unix", func(t *testing.T) runtime.Conduit { return socketConduit(t, "unix") }},
 	}
 	for _, rung := range rungs {

@@ -3,8 +3,8 @@
 // mailbox — and all communication crosses a pluggable Conduit transport.
 // It is the simulator-to-runtime ladder: in-process channels
 // (ChannelConduit), fault-injecting transports layered on top
-// (FaultConduit), and real OS sockets (the netconduit subpackage: framed
-// deliveries over TCP or Unix-domain loopback with synchronous acks) — with
+// (FaultConduit), and real OS sockets (the netconduit subpackage: batched
+// frames over TCP or Unix-domain loopback, acknowledged per frame) — with
 // the protocol logic (core.Agent) untouched at every rung. A conduit that
 // holds transport resources implements io.Closer and is closed by Shutdown.
 //
@@ -26,20 +26,18 @@
 //
 // The protocol's correctness barrier is per round, so the coordinator does
 // not need a synchronous transport round trip per message — only per-
-// destination delivery order and coordinator-ordered observables. When the
-// conduit implements BatchConduit, each phase of a round is dispatched as
-// pipelined waves: the whole delivery set is handed to the transport without
-// waiting per message, and loss draws, results, trace events, and accounting
-// are settled at the barrier in the simulator's order — so the transcript
-// stays byte-identical while the transport coalesces frames and overlaps
-// acknowledgements. Push losses are drawn before dispatch. A pull phase
-// dispatches every query to a non-silent target first and draws each pull's
-// query loss, then its conditional reply loss, in the puller-ordered
-// resolution pass that follows the query wave; a query the stream drops is
-// answered but its answer is discarded. That is exact because HandlePull
-// never changes agent state (the gossip.Agent contract). Conduits without
-// the batch seam (FaultConduit, external test transports) are always driven
-// serially, one blocking Deliver per message.
+// destination delivery order and coordinator-ordered observables. Each phase
+// of a round is dispatched through a conduit Batch as pipelined waves: the
+// whole delivery set is handed to the transport without waiting per message,
+// and loss draws, results, trace events, and accounting are settled at the
+// barrier in the simulator's order — so the transcript stays byte-identical
+// while the transport coalesces frames and overlaps acknowledgements. Push
+// losses are drawn before dispatch. A pull phase dispatches every query to a
+// non-silent target first and draws each pull's query loss, then its
+// conditional reply loss, in the puller-ordered resolution pass that follows
+// the query wave; a query the stream drops is answered but its answer is
+// discarded. That is exact because HandlePull never changes agent state (the
+// gossip.Agent contract).
 //
 // On top of that parity the runtime measures what the simulator cannot:
 // wall-clock convergence and per-message delivery latency, reported as a
@@ -123,9 +121,9 @@ type Runtime struct {
 	pushes  []int32
 	pulls   []int32
 
-	// Pipelined-delivery scratch, reused every round. batch is non-nil iff
-	// the conduit implements BatchConduit; evq/evhead are the per-destination
-	// FIFO queues that match query-wave completions back to their dispatches.
+	// Pipelined-delivery scratch, reused every round. evq/evhead are the
+	// per-destination FIFO queues that match query-wave completions back to
+	// their dispatches.
 	batch  Batch
 	pfates []pushFate
 	precs  []pullRec
@@ -152,7 +150,7 @@ const (
 
 // pullRec is one pull's bookkeeping across the query and reply waves of a
 // pipelined pull phase. The final disposition (note, accounting) is settled
-// at the barrier so trace bytes come out in exactly the serial order.
+// at the barrier so trace bytes come out in exactly the simulator's order.
 type pullRec struct {
 	fate      pushFate // pushSelf / pushSilent (nothing dispatched) / pushSent (query dispatched)
 	note      string   // final trace note; "" means a successful pull
@@ -214,17 +212,15 @@ func New(cfg Config, agents []gossip.Agent) *Runtime {
 		drop:     cfg.Drop,
 		dropRand: cfg.DropRand,
 		conduit:  conduit,
+		batch:    conduit.NewBatch(),
 		nodes:    make([]*Node, n),
 		events:   make(chan event, n),
 		stop:     make(chan struct{}),
 		actions:  make([]gossip.Action, n),
+		evq:      make([][]event, n),
+		evhead:   make([]int, n),
 	}
 	rt.dyn, _ = cfg.Topology.(topo.Dynamic)
-	if bc, ok := conduit.(BatchConduit); ok {
-		rt.batch = bc.NewBatch()
-		rt.evq = make([][]event, n)
-		rt.evhead = make([]int, n)
-	}
 	for i, a := range agents {
 		if a == nil {
 			continue
@@ -375,22 +371,11 @@ func (rt *Runtime) step() {
 		}
 	}
 
-	// Delivery: pipelined waves when the conduit can batch, the serial
-	// per-message path otherwise. Both draw the Drop stream in the
-	// simulator's order: one draw per non-self push in sender order, then,
-	// pull by pull in puller order, the query draw and the conditional reply
-	// draw.
-	if rt.batch != nil {
-		rt.deliverPushesBatched(round)
-		rt.resolvePullsBatched(round)
-	} else {
-		for _, u := range rt.pushes {
-			rt.deliverPush(round, int(u), rt.actions[u])
-		}
-		for _, u := range rt.pulls {
-			rt.resolvePull(round, int(u), rt.actions[u])
-		}
-	}
+	// Delivery draws the Drop stream in the simulator's order: one draw per
+	// non-self push in sender order, then, pull by pull in puller order, the
+	// query draw and the conditional reply draw.
+	rt.pushWave(round)
+	rt.pullWaves(round)
 
 	rt.tally.AddRound()
 	rt.counters.AddDelta(0, rt.tally)
@@ -411,109 +396,16 @@ func (rt *Runtime) validate(round, u int, a *gossip.Action) {
 	}
 }
 
-// roundTrip sends a scheduler-internal message directly into a node's
-// mailbox — bypassing the conduit — and waits for its completion event.
-// Self-operations and nil-reply notifications travel this way: they are not
-// link crossings, so the transport gets no chance to delay or drop them.
-func (rt *Runtime) roundTrip(to int, m Message) event {
-	if !rt.nodes[to].Send(m) {
-		return event{id: to}
-	}
-	return <-rt.events
-}
-
-// transport carries one payload message through the conduit and waits for
-// the receiving node's completion event, folding the observed delivery
-// latency into the run's sketch. It reports false when the conduit dropped
-// the message (the caller then applies the simulator's loss semantics).
-func (rt *Runtime) transport(to int, m Message) (event, bool) {
-	m.SentAt = time.Now()
-	if !rt.conduit.Deliver(rt.nodes[to], m) {
-		return event{}, false
-	}
-	ev := <-rt.events
-	if ev.timed {
-		rt.lat.Add(int64(ev.latency))
-		rt.delivered++
-		rt.kinds[m.Kind]++
-	}
-	return ev, true
-}
-
-// deliverPush delivers one push with the executor's exact semantics: a
-// self-push is local and free; a non-self push always incurs its cost, may
-// be lost on the link (loss stream or transport), and lands in the void when
-// the target is quiescent.
-func (rt *Runtime) deliverPush(round, u int, a gossip.Action) {
-	kind := classifyPush(a.Payload)
-	m := Message{Kind: kind, Round: round, From: u, Payload: a.Payload}
-	if u == a.To {
-		rt.roundTrip(u, m)
-		return
-	}
-	rt.tally.AddPush()
-	rt.tally.AddMessage(gossip.PayloadBits(a.Payload))
-	if rt.lost() {
-		rt.emit(trace.Event{Round: round, Kind: trace.KindPush, From: u, To: a.To, Note: "lost"})
-		return
-	}
-	if rt.silent(round, a.To) {
-		rt.emit(trace.Event{Round: round, Kind: trace.KindPush, From: u, To: a.To})
-		return
-	}
-	if _, ok := rt.transport(a.To, m); !ok {
-		rt.emit(trace.Event{Round: round, Kind: trace.KindPush, From: u, To: a.To, Note: "lost"})
-		return
-	}
-	rt.emit(trace.Event{Round: round, Kind: trace.KindPush, From: u, To: a.To})
-}
-
-// resolvePull resolves one pull — query out, optional reply back — with the
-// executor's exact semantics and trace notes. The query and the reply cross
-// the conduit; the nil-reply notification a failed pull produces goes
-// directly to the puller's mailbox.
-func (rt *Runtime) resolvePull(round, u int, a gossip.Action) {
-	if u == a.To {
-		rt.roundTrip(u, Message{Kind: MsgQuery, Round: round, From: u, Payload: a.Payload})
-		return
-	}
-	rt.tally.AddMessage(gossip.PayloadBits(a.Payload))
-	if rt.lost() {
-		rt.failPull(round, u, a.To, "query-lost")
-		return
-	}
-	if rt.silent(round, a.To) {
-		rt.failPull(round, u, a.To, "no-reply")
-		return
-	}
-	ev, ok := rt.transport(a.To, Message{Kind: MsgQuery, Round: round, From: u, Payload: a.Payload})
-	if !ok {
-		rt.failPull(round, u, a.To, "query-lost")
-		return
-	}
-	if ev.reply == nil {
-		rt.failPull(round, u, a.To, "refused")
-		return
-	}
-	rt.tally.AddMessage(gossip.PayloadBits(ev.reply))
-	if rt.lost() {
-		rt.failPull(round, u, a.To, "reply-lost")
-		return
-	}
-	if _, ok := rt.transport(u, Message{Kind: MsgReply, Round: round, From: a.To, Payload: ev.reply}); !ok {
-		rt.failPull(round, u, a.To, "reply-lost")
-		return
-	}
-	rt.tally.AddPull(true)
-	rt.emit(trace.Event{Round: round, Kind: trace.KindPull, From: u, To: a.To})
-}
-
-// failPull accounts and traces one failed pull, then notifies the puller
-// with a nil reply — the same observation a quiescent target produces.
-func (rt *Runtime) failPull(round, u, to int, note string) {
+// failPull accounts and traces a pull whose served reply the transport
+// lost, then notifies the puller with a nil reply — the same observation a
+// quiescent target produces. The notification is scheduler-internal: it goes
+// straight into the puller's mailbox, not through the conduit.
+func (rt *Runtime) failPull(round, u, to int) {
 	rt.tally.AddPull(false)
-	rt.emit(trace.Event{Round: round, Kind: trace.KindPull, From: u, To: to, Note: note})
-	rt.roundTrip(u, Message{Kind: MsgReply, Round: round, From: to})
+	rt.emit(trace.Event{Round: round, Kind: trace.KindPull, From: u, To: to, Note: "reply-lost"})
+	if rt.nodes[u].Send(Message{Kind: MsgReply, Round: round, From: to}) {
+		<-rt.events
+	}
 }
 
 // collectEvents drains n completion events, folding timed delivery latencies
@@ -551,14 +443,17 @@ func (rt *Runtime) popReply(id int) event {
 	return rt.evq[id][h]
 }
 
-// deliverPushesBatched delivers the round's push set as one pipelined wave:
-// fates are pre-drawn in sender order (keeping the Drop stream aligned with
-// the simulator), every surviving push is dispatched without a per-message
-// wait, and accounting plus trace events are settled at the barrier in sender
-// order — byte-identical to the serial path's transcript. Self-pushes ride
-// the batch too (untimed, untallied): a direct mailbox send could overtake
-// the wave's in-flight deliveries to the same node and reorder HandlePush.
-func (rt *Runtime) deliverPushesBatched(round int) {
+// pushWave delivers the round's push set as one pipelined wave with the
+// executor's exact semantics: a non-self push always incurs its cost, may be
+// lost on the link (loss stream or transport), and lands in the void when
+// the target is quiescent; a self-push is local and free. Fates are drawn in
+// sender order (keeping the Drop stream aligned with the simulator), every
+// surviving push is dispatched without a per-message wait, and accounting
+// plus trace events are settled at the barrier in sender order. Self-pushes
+// ride the batch too (untimed, untallied): a direct mailbox send could
+// overtake the wave's in-flight deliveries to the same node and reorder
+// HandlePush.
+func (rt *Runtime) pushWave(round int) {
 	if len(rt.pushes) == 0 {
 		return
 	}
@@ -620,23 +515,23 @@ func (rt *Runtime) deliverPushesBatched(round int) {
 	}
 }
 
-// resolvePullsBatched resolves the round's pull set in pipelined waves.
-// Wave 1 dispatches every query without drawing its loss — self-pulls ride
-// the batch for mailbox-order safety, quiescent targets dispatch nothing —
-// and collects the targets' HandlePull results at the barrier. The
+// pullWaves resolves the round's pull set in pipelined waves, with the
+// executor's exact semantics and trace notes. Wave 1 dispatches every query
+// without drawing its loss — self-pulls ride the batch for mailbox-order
+// safety, quiescent targets dispatch nothing — and collects the targets'
+// HandlePull results at the barrier. The
 // resolution pass then walks pullers in ascending order and makes exactly
-// the Drop draws resolvePull makes: the query draw first (before the silence
+// the executor's Drop draws: the query draw first (before the silence
 // check, so a quiescent target can end in "query-lost"), then, only for a
 // kept query answered with a real reply, the reply draw. A query the stream
 // dropped was still answered; its answer is popped and discarded, uncounted
 // and untimed — exact because HandlePull never changes agent state. Kept
 // replies form wave 2 and cross the conduit (timed), while nil-reply
-// notifications go straight to the puller's mailbox as the serial path's
-// roundTrip does. Wave 2 has at most one message per puller, so no ordering
-// hazard remains. Accounting and trace events are settled last, in puller
-// order; a reply the transport loses (rare: a dying connection) is
-// re-notified serially there.
-func (rt *Runtime) resolvePullsBatched(round int) {
+// notifications, being scheduler-internal, go straight to the puller's
+// mailbox. Wave 2 has at most one message per puller, so no ordering hazard
+// remains. Accounting and trace events are settled last, in puller order; a
+// reply the transport loses is re-notified there (failPull).
+func (rt *Runtime) pullWaves(round int) {
 	if len(rt.pulls) == 0 {
 		return
 	}
@@ -736,7 +631,7 @@ func (rt *Runtime) resolvePullsBatched(round int) {
 	rt.collectEvents(succ)
 
 	// Barrier settlement, in puller order — the simulator's order. Self-pulls
-	// are local and free, exactly the serial path: no cost, no trace.
+	// are local and free: no cost, no trace.
 	for i := range rt.precs {
 		rec := &rt.precs[i]
 		if rec.fate == pushSelf {
@@ -754,9 +649,7 @@ func (rt *Runtime) resolvePullsBatched(round int) {
 			continue
 		}
 		if !rt.oks[rec.w2] {
-			// The transport lost the reply after the target served it:
-			// account the failure and re-notify the puller serially.
-			rt.failPull(round, u, a.To, "reply-lost")
+			rt.failPull(round, u, a.To)
 			continue
 		}
 		rt.delivered++

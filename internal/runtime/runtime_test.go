@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/gossip"
+	"repro/internal/topo"
 )
 
 func goroutines() int { return stdruntime.NumGoroutine() }
@@ -237,8 +239,8 @@ func TestFaultConduitJitter(t *testing.T) {
 
 // TestFaultConduitConcurrentDeliver exercises the Conduit concurrency
 // contract on the fault layer under the race detector: many goroutines
-// drawing drop and jitter from the one seed-derived stream. Run with -race;
-// before the stream gained its mutex this was a data race.
+// delivering through one conduit at once, each message's fate keyed by its
+// identity rather than drawn from shared state.
 func TestFaultConduitConcurrentDeliver(t *testing.T) {
 	const workers, each = 8, 200
 	stop := make(chan struct{})
@@ -254,7 +256,7 @@ func TestFaultConduitConcurrentDeliver(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				if c.Deliver(n, Message{Kind: MsgPush, Round: i}) {
+				if c.Deliver(n, Message{Kind: MsgPush, Round: i, From: 1}) {
 					delivered.Add(1)
 				}
 			}
@@ -265,10 +267,81 @@ func TestFaultConduitConcurrentDeliver(t *testing.T) {
 	if got != int64(len(n.inbox)) {
 		t.Fatalf("delivered %d, mailbox holds %d", got, len(n.inbox))
 	}
-	// With a 30% drop rate both outcomes must occur in 1600 draws; all-or-
-	// nothing means the stream (or the drop draw) broke under concurrency.
-	if got == 0 || got == workers*each {
-		t.Fatalf("delivered %d of %d — drop stream degenerate", got, workers*each)
+	// With a 30% drop rate both outcomes must occur over 200 rounds; every
+	// worker sends the same messages, so each sees the same fates.
+	if got == 0 || got == workers*each || got%workers != 0 {
+		t.Fatalf("delivered %d of %d — drop fates degenerate or not keyed by message", got, workers*each)
+	}
+}
+
+// selfAgent only ever addresses itself: a self-push on even rounds, a
+// self-pull on odd ones. It counts what comes back.
+type selfAgent struct {
+	id                    int
+	pushes, replies, nils int
+}
+
+func (a *selfAgent) Act(round int) gossip.Action {
+	if round%2 == 0 {
+		return gossip.PushTo(a.id, core.Vote{})
+	}
+	return gossip.PullFrom(a.id, core.IntentQuery{})
+}
+
+func (a *selfAgent) HandlePush(round, from int, p gossip.Payload) { a.pushes++ }
+
+func (a *selfAgent) HandlePull(round, from int, q gossip.Payload) gossip.Payload {
+	return core.Vote{}
+}
+
+func (a *selfAgent) HandlePullReply(round, from int, reply gossip.Payload) {
+	if reply == nil {
+		a.nils++
+		return
+	}
+	a.replies++
+}
+
+// TestFaultConduitSparesSelfTraffic pins that self traffic is local: a
+// FaultConduit never drops or delays a self-push or self-pull, at a drop
+// rate and jitter that fault nearly every other message.
+func TestFaultConduitSparesSelfTraffic(t *testing.T) {
+	c := NewFaultConduit(nil, 5, 0.9, time.Hour)
+	faulted := 0
+	for r := 0; r < 64; r++ {
+		for _, kind := range []MsgKind{MsgPush, MsgVote, MsgQuery, MsgReply} {
+			if dropped, delay := c.fate(3, Message{Kind: kind, Round: r, From: 3}); dropped || delay != 0 {
+				t.Fatalf("self %v in round %d: dropped=%v delay=%v", kind, r, dropped, delay)
+			}
+			if dropped, delay := c.fate(3, Message{Kind: kind, Round: r, From: 4}); dropped || delay != 0 {
+				faulted++
+			}
+		}
+	}
+	if faulted < 200 {
+		t.Fatalf("only %d of 256 non-self messages faulted at drop 0.9", faulted)
+	}
+
+	// End to end through the batched waves: every self-push lands and every
+	// self-pull is answered.
+	const n, rounds = 8, 20
+	agents := make([]gossip.Agent, n)
+	scripted := make([]*selfAgent, n)
+	for i := range agents {
+		scripted[i] = &selfAgent{id: i}
+		agents[i] = scripted[i]
+	}
+	rt := New(Config{Topology: topo.NewComplete(n), Conduit: NewFaultConduit(nil, 5, 0.9, 0)}, agents)
+	got, err := rt.Run(context.Background(), rounds)
+	rt.Shutdown()
+	if err != nil || got != rounds {
+		t.Fatalf("ran %d rounds (err %v), want %d", got, err, rounds)
+	}
+	for _, a := range scripted {
+		if a.pushes != rounds/2 || a.replies != rounds/2 || a.nils != 0 {
+			t.Fatalf("agent %d: %d self-pushes, %d replies, %d nil replies; want %d, %d, 0",
+				a.id, a.pushes, a.replies, a.nils, rounds/2, rounds/2)
+		}
 	}
 }
 
